@@ -4,8 +4,10 @@ Per (m, n) entry a batch of seeded instances is generated (instance i uses
 seed XOR i), each is measured, and one row of averages is emitted. The LP
 column averages per-instance ceilings, while the max distance error
 compares heuristic objectives against the *fractional* LP optima, so
-sub-integer errors are representable. Timing averages exclude the first
-instance of a batch (warm-up) whenever the batch has more than one.
+sub-integer errors are representable. The LP column is the rounding
+driver's own first (root) solve, so ``lp_ms`` is part of ``alg_ms``.
+Timing averages exclude the first instance of a batch (warm-up) whenever
+the batch has more than one.
 """
 
 from __future__ import annotations
@@ -14,12 +16,11 @@ import time
 from dataclasses import dataclass
 
 from .core import Alphabet, Instance
-from .errors import CapacityError, LpFailureError
-from .exact import branch_and_bound, brute_force_center
+from .errors import CapacityError
+from .exact import ExactResult, branch_and_bound, brute_force_center
 from .instances import GeneratorConfig, generate_uniform
-from .lp import build_csp_lp, lp_lower_bound, solve_lp
-from .rounding import algorithm_a, algorithm_b, algorithm_c
-from .simplex import OPTIMAL
+from .lp import build_csp_lp, solve_lp  # noqa: F401 (traced by perfbench/spans.py)
+from .rounding import RoundingResult, algorithm_a, algorithm_b, algorithm_c
 
 CSV_HEADER = (
     "m,n,batch,lp_avg,alg_avg,exact_avg,max_dist_error,lp_ms,alg_ms,exact_ms"
@@ -64,14 +65,27 @@ class BenchRow:
     exact_ms: float | None
 
 
-def _run_heuristic(inst: Instance, alg: str, theta: float, retries: int):
-    if alg == "a":
+def run_solver(
+    inst: Instance,
+    name: str,
+    theta: float,
+    retries: int,
+    time_limit: float,
+    node_limit: int,
+) -> RoundingResult | ExactResult:
+    """Run the solver called ``name``: a rounding heuristic from HEURISTICS
+    or an exact oracle from EXACT_SOLVERS, each given the options it takes."""
+    if name == "a":
         return algorithm_a(inst)
-    if alg == "b":
+    if name == "b":
         return algorithm_b(inst, theta)
-    if alg == "c":
+    if name == "c":
         return algorithm_c(inst, theta, retries)
-    raise ValueError(f"unknown heuristic {alg!r}")
+    if name == "brute":
+        return brute_force_center(inst, node_limit=node_limit)
+    if name == "bnb":
+        return branch_and_bound(inst, time_limit=time_limit)
+    raise ValueError(f"unknown solver {name!r}")
 
 
 def measure_instance(
@@ -84,18 +98,12 @@ def measure_instance(
     time_limit: float,
     node_limit: int,
 ) -> InstanceRecord:
-    """LP solve, heuristic run, and optional exact solve for one instance."""
+    """Heuristic run, with its root LP, and optional exact solve for one
+    instance."""
+    if alg not in HEURISTICS or exact not in (*EXACT_SOLVERS, None):
+        raise ValueError(f"need a heuristic and an optional exact solver: {alg!r}, {exact!r}")
     t0 = time.perf_counter()
-    sol = solve_lp(build_csp_lp(inst))
-    lp_ms = (time.perf_counter() - t0) * 1000.0
-    if sol.status != OPTIMAL:
-        raise LpFailureError(
-            f"benchmark LP solve failed with status {sol.status!r}",
-            status=sol.status,
-        )
-
-    t0 = time.perf_counter()
-    res = _run_heuristic(inst, alg, theta, retries)
+    res = run_solver(inst, alg, theta, retries, time_limit, node_limit)
     alg_ms = (time.perf_counter() - t0) * 1000.0
 
     exact_optimum: int | None = None
@@ -103,12 +111,7 @@ def measure_instance(
     if exact is not None:
         t0 = time.perf_counter()
         try:
-            if exact == "brute":
-                er = brute_force_center(inst, node_limit=node_limit)
-            elif exact == "bnb":
-                er = branch_and_bound(inst, time_limit=time_limit)
-            else:
-                raise ValueError(f"unknown exact solver {exact!r}")
+            er = run_solver(inst, exact, theta, retries, time_limit, node_limit)
         except CapacityError:
             er = None
         exact_ms = (time.perf_counter() - t0) * 1000.0
@@ -117,12 +120,12 @@ def measure_instance(
 
     return InstanceRecord(
         seed=seed,
-        lp_value=sol.dvalue,
-        lp_bound=lp_lower_bound(sol),
+        lp_value=res.root_lp.dvalue,
+        lp_bound=res.lp_bound,
         alg_objective=res.center.objective,
         alg_certified=res.exact_certified,
         exact_optimum=exact_optimum,
-        lp_ms=lp_ms,
+        lp_ms=res.root_lp_ms,
         alg_ms=alg_ms,
         exact_ms=exact_ms,
     )

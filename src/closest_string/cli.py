@@ -12,14 +12,17 @@ import sys
 import time
 from pathlib import Path
 
-from .bench import EXACT_SOLVERS, HEURISTICS, run_bench, rows_to_csv
+from .bench import EXACT_SOLVERS, HEURISTICS, run_bench, run_solver, rows_to_csv
 from .core import Alphabet
 from .errors import CapacityError, FormatError, LpFailureError
-from .exact import branch_and_bound, brute_force_center
 from .instances import GeneratorConfig, generate_uniform, parse_instance, serialize_instance
-from .lp import build_csp_lp, lp_lower_bound, solve_lp
-from .rounding import algorithm_a, algorithm_b, algorithm_c
-from .simplex import OPTIMAL
+from .lp import lp_lower_bound
+from .rounding import solve_relaxation
+
+# Unused here, but perfbench/spans.py wraps them in this namespace.
+from .exact import branch_and_bound, brute_force_center  # noqa: F401
+from .lp import build_csp_lp, solve_lp  # noqa: F401
+from .rounding import algorithm_a, algorithm_b, algorithm_c  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -97,32 +100,20 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = parse_instance(Path(args.infile).read_bytes())
     t0 = time.perf_counter()
-    if args.alg in HEURISTICS:
-        if args.alg == "a":
-            res = algorithm_a(inst)
-        elif args.alg == "b":
-            res = algorithm_b(inst, args.theta)
-        else:
-            res = algorithm_c(inst, args.theta, args.retries)
-        center, obj = res.center.chars, res.center.objective
+    # A heuristic's result carries its root LP; an exact solver's does not.
+    root = None if args.alg in HEURISTICS else solve_relaxation(inst)
+    res = run_solver(
+        inst, args.alg, args.theta, args.retries, args.time_limit, args.node_limit
+    )
+    if root is None:
         lp_bound, certified = res.lp_bound, res.exact_certified
     else:
-        sol = solve_lp(build_csp_lp(inst))
-        if sol.status != OPTIMAL:
-            raise LpFailureError(
-                f"LP solve failed with status {sol.status!r}", status=sol.status
-            )
-        lp_bound = lp_lower_bound(sol)
-        if args.alg == "brute":
-            er = brute_force_center(inst, node_limit=args.node_limit)
-        else:
-            er = branch_and_bound(inst, time_limit=args.time_limit)
-        center, obj, certified = er.center.chars, er.optimum, er.certified
+        lp_bound, certified = lp_lower_bound(root), res.certified
     millis = round((time.perf_counter() - t0) * 1000.0, 3)
 
     report = {
-        "center": center,
-        "objective": obj,
+        "center": res.center.chars,
+        "objective": res.center.objective,
         "lp_bound": lp_bound,
         "certified": certified,
         "millis": millis,

@@ -28,6 +28,8 @@ class Alphabet:
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError(f"alphabet has duplicate symbols: {''.join(self.symbols)!r}")
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.symbols)})
+        points = np.array([ord(s) for s in self.symbols], dtype="<u4")
+        object.__setattr__(self, "_points", points)
 
     @classmethod
     def from_string(cls, chars: str) -> "Alphabet":
@@ -41,7 +43,7 @@ class Alphabet:
         for s in strings:
             seen.update(s)
         if not seen:
-            raise ValueError("cannot infer an alphabet from empty input")
+            raise FormatError("cannot infer an alphabet from empty input")
         return cls(tuple(sorted(seen)))
 
     def index(self, symbol: str) -> int:
@@ -51,6 +53,38 @@ class Alphabet:
             raise ValueError(
                 f"symbol {symbol!r} not in alphabet {''.join(self.symbols)!r}"
             ) from None
+
+    def encode(self, strings: Sequence[str]) -> np.ndarray:
+        """(m, n) int16 matrix of symbol indices for m equal-length strings.
+
+        Raises FormatError for a ragged row or a symbol outside the alphabet.
+        """
+        rows = [str(s) for s in strings]
+        n = len(rows[0]) if rows else 0
+        for i, s in enumerate(rows):
+            if len(s) != n:
+                raise FormatError(f"string {i + 1} has length {len(s)}, expected {n}")
+        flat = np.frombuffer(
+            "".join(rows).encode("utf-32-le", "surrogatepass"), dtype="<u4"
+        ).reshape(len(rows), n)
+        order = np.argsort(self._points).astype(np.int16)  # type: ignore[attr-defined]
+        keys = self._points[order]  # type: ignore[attr-defined]
+        pos = np.minimum(np.searchsorted(keys, flat), len(keys) - 1)
+        foreign = keys[pos] != flat
+        if foreign.any():
+            i, j = np.argwhere(foreign)[0]
+            raise FormatError(
+                f"symbol {rows[i][j]!r} not in alphabet {''.join(self.symbols)!r}"
+            )
+        return order[pos]
+
+    def decode(self, codes: np.ndarray) -> tuple[str, ...]:
+        """Inverse of ``encode``: one string per row of a code matrix (a 1-D
+        code vector is one row)."""
+        points = self._points[np.atleast_2d(codes)]  # type: ignore[attr-defined]
+        text = points.tobytes().decode("utf-32-le", "surrogatepass")
+        n = points.shape[1]
+        return tuple(text[r:r + n] for r in range(0, len(text), n))
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -70,19 +104,9 @@ class Instance:
     strings: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if not self.strings:
-            raise ValueError("instance needs at least one string")
-        n = len(self.strings[0])
-        if n == 0:
-            raise ValueError("instance strings must be nonempty")
-        codes = np.empty((len(self.strings), n), dtype=np.int16)
-        for i, s in enumerate(self.strings):
-            if len(s) != n:
-                raise ValueError(
-                    f"string {i} has length {len(s)}, expected {n}"
-                )
-            for j, ch in enumerate(s):
-                codes[i, j] = self.alphabet.index(ch)
+        if not self.strings or not self.strings[0]:
+            raise FormatError("instance needs at least one nonempty string")
+        codes = self.alphabet.encode(self.strings)
         codes.flags.writeable = False
         object.__setattr__(self, "_codes", codes)
 
@@ -124,10 +148,7 @@ def objective(t: str, inst: Instance) -> CenterString:
     """Evaluate candidate center ``t``: per-string distances and their max."""
     if len(t) != inst.n:
         raise ValueError(f"center has length {len(t)}, expected {inst.n}")
-    t_codes = np.fromiter(
-        (inst.alphabet.index(c) for c in t), dtype=np.int16, count=inst.n
-    )
-    dists = (inst.codes != t_codes[None, :]).sum(axis=1)
+    dists = (inst.codes != inst.alphabet.encode([t])).sum(axis=1)
     return CenterString(
         chars=str(t),
         distances=tuple(int(d) for d in dists),
@@ -143,19 +164,5 @@ def validate_instance(
     The alphabet is inferred as the sorted set of characters present unless
     an explicit one is supplied.
     """
-    rows = [str(s) for s in raw]
-    if not rows:
-        raise FormatError("no strings given")
-    n = len(rows[0])
-    for i, s in enumerate(rows):
-        if len(s) != n:
-            raise FormatError(f"string {i + 1} has length {len(s)}, expected {n}")
-    if alphabet is None:
-        try:
-            alphabet = Alphabet.inferred(rows)
-        except ValueError as exc:
-            raise FormatError(str(exc)) from None
-    try:
-        return Instance(alphabet, tuple(rows))
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+    rows = tuple(str(s) for s in raw)
+    return Instance(alphabet or Alphabet.inferred(rows), rows)

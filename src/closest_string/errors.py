@@ -27,8 +27,8 @@ class CapacityError(RuntimeError):
 class LpFailureError(RuntimeError):
     """An LP solve ended in a non-optimal status.
 
-    Raised by the rounding drivers; ``trace`` carries whatever rounding
-    progress existed when the solve failed.
+    Raised by ``rounding.solve_relaxation``; when a rounding driver made the
+    solve, ``trace`` carries whatever rounding progress existed before it.
     """
 
     def __init__(self, message: str, status: str, trace=None):

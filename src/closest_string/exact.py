@@ -65,7 +65,6 @@ def brute_force_center(
         strides[j] = acc
         acc *= radices[j]
     radix_arr = np.array(radices, dtype=np.int64)
-    col_lookup = [cc.astype(np.int16) for cc in col_codes]
 
     best_obj = n + 1
     best_codes: np.ndarray | None = None
@@ -75,7 +74,7 @@ def brute_force_center(
         digits = (idx[:, None] // strides[None, :]) % radix_arr[None, :]
         grid = np.empty((stop - start, n), dtype=np.int16)
         for j in range(n):
-            grid[:, j] = col_lookup[j][digits[:, j]]
+            grid[:, j] = col_codes[j][digits[:, j]]
         obj = np.zeros(stop - start, dtype=np.int32)
         for i in range(m):
             np.maximum(obj, (grid != codes[i][None, :]).sum(axis=1), out=obj)
@@ -85,8 +84,7 @@ def brute_force_center(
             best_codes = grid[pos].copy()
 
     assert best_codes is not None
-    center_str = "".join(inst.alphabet.symbols[c] for c in best_codes)
-    center = objective(center_str, inst)
+    center = objective(inst.alphabet.decode(best_codes)[0], inst)
     return ExactResult(
         center=center,
         optimum=center.objective,
@@ -170,8 +168,7 @@ def branch_and_bound(
 
     descend(0, 0)
 
-    center_str = "".join(inst.alphabet.symbols[c] for c in best_codes)
-    center = objective(center_str, inst)
+    center = objective(inst.alphabet.decode(best_codes)[0], inst)
     return ExactResult(
         center=center,
         optimum=center.objective,

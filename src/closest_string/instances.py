@@ -3,7 +3,8 @@
 File format (UTF-8, line oriented): one string per line; blank lines and
 lines starting with ``#`` are ignored; an optional header line
 ``alphabet: <chars>`` before the first string pins the alphabet (and its
-order) explicitly.
+order) explicitly. Symbols are single characters other than ``#``,
+``:`` and whitespace.
 
 Random instances come from NumPy's PCG64 bit generator, so a seed fully
 determines the instance bytes on every platform.
@@ -11,6 +12,7 @@ determines the instance bytes on every platform.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +21,15 @@ from .core import Alphabet, Instance
 from .errors import FormatError
 
 _HEADER = "alphabet:"
+# '#' starts a comment, ':' lets a row pass for the header, and whitespace
+# is stripped from line ends, so none of them would read back as a symbol.
+_RESERVED = re.compile(r"[#:\s]")
+
+
+def _check_symbols(chars: str, line: int | None = None) -> None:
+    bad = _RESERVED.search(chars)
+    if bad:
+        raise FormatError(f"reserved symbol {bad.group()!r} ('#', ':' or whitespace)", line)
 
 
 @dataclass(frozen=True)
@@ -47,9 +58,7 @@ def generate_uniform(cfg: GeneratorConfig) -> Instance:
     """
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     codes = rng.integers(0, len(cfg.alphabet), size=(cfg.m, cfg.n))
-    symbols = cfg.alphabet.symbols
-    strings = tuple("".join(symbols[c] for c in row) for row in codes)
-    return Instance(cfg.alphabet, strings)
+    return Instance(cfg.alphabet, cfg.alphabet.decode(codes))
 
 
 def parse_instance(data: str | bytes) -> Instance:
@@ -69,11 +78,13 @@ def parse_instance(data: str | bytes) -> Instance:
             chars = line[len(_HEADER):].strip()
             if not chars:
                 raise FormatError("empty alphabet header", line=lineno)
+            _check_symbols(chars, lineno)
             try:
                 declared = Alphabet.from_string(chars)
             except ValueError as exc:
                 raise FormatError(str(exc), line=lineno) from None
             continue
+        _check_symbols(line, lineno)
         if rows and len(line) != len(rows[0]):
             raise FormatError(
                 f"string has length {len(line)}, expected {len(rows[0])}", line=lineno
@@ -95,14 +106,14 @@ def serialize_instance(inst: Instance) -> str:
 
     The ``alphabet:`` header is emitted only when needed: when the alphabet
     holds symbols no string uses, or when its order is not lexicographic
-    (either would be lost by re-inference).
+    (either would be lost by re-inference). Raises FormatError for a
+    symbol the format reserves: ``#``, ``:`` or whitespace.
     """
-    used: set[str] = set()
-    for s in inst.strings:
-        used.update(s)
     symbols = inst.alphabet.symbols
+    _check_symbols("".join(symbols))
     lines: list[str] = []
-    if set(symbols) != used or symbols != tuple(sorted(symbols)):
+    unused = not np.bincount(inst.codes.ravel(), minlength=len(symbols)).all()
+    if unused or symbols != tuple(sorted(symbols)):
         lines.append(f"{_HEADER} {''.join(symbols)}")
     lines.extend(inst.strings)
     return "\n".join(lines) + "\n"

@@ -64,10 +64,6 @@ class LpModel:
     def d_index(self) -> int:
         return self.num_x_vars
 
-    @property
-    def fixed_map(self) -> dict[int, str]:
-        return dict(self.fixed)
-
     def var_index(self, symbol: str, position: int) -> int:
         if not 0 <= position < self.n:
             raise ValueError(f"position {position} out of range")

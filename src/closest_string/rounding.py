@@ -20,7 +20,8 @@ so identical inputs give identical traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Mapping
 
@@ -78,16 +79,26 @@ class RoundingTrace:
 
 @dataclass(frozen=True)
 class RoundingResult:
+    """A driver's center and trace, plus the root LP its first solve made
+    and that solve's wall time in ms, model build included."""
+
     center: CenterString
-    lp_bound: int
     trace: RoundingTrace
-    exact_certified: bool
+    root_lp: LpSolution = field(compare=False)
+    root_lp_ms: float = field(compare=False)
 
     def __post_init__(self) -> None:
         if self.center.objective < self.lp_bound:
             raise ValueError("center objective fell below the LP lower bound")
-        if self.exact_certified and self.center.objective != self.lp_bound:
-            raise ValueError("certificate requires objective == LP bound")
+
+    @property
+    def lp_bound(self) -> int:
+        return lp_lower_bound(self.root_lp)
+
+    @property
+    def exact_certified(self) -> bool:
+        """The center meets the LP ceiling, so it is optimal."""
+        return self.center.objective == self.lp_bound
 
 
 def _check_theta(theta: float) -> None:
@@ -96,24 +107,15 @@ def _check_theta(theta: float) -> None:
         raise ValueError(f"theta must lie in (0.5, 1.0], got {theta}")
 
 
-def _solve_step(
-    inst: Instance,
-    fixed: dict[int, str],
-    iterations: list[RoundingIteration],
-    first: dict[int, float],
-    second: dict[int, str],
+def solve_relaxation(
+    inst: Instance, fixed: Mapping[int, str] | None = None
 ) -> LpSolution:
+    """Optimal LP relaxation of ``inst`` with ``fixed`` positions pinned: the
+    one place where a non-optimal LP status becomes LpFailureError."""
     sol = solve_lp(build_csp_lp(inst, fixed))
     if sol.status != OPTIMAL:
-        partial = RoundingTrace(
-            tuple(iterations), MappingProxyType(dict(first)),
-            MappingProxyType(dict(second)),
-        )
         raise LpFailureError(
-            f"LP solve failed with status {sol.status!r} after "
-            f"{len(iterations)} rounding iterations",
-            status=sol.status,
-            trace=partial,
+            f"LP solve failed with status {sol.status!r}", status=sol.status
         )
     return sol
 
@@ -144,8 +146,8 @@ def _round_once(
     inst: Instance,
     theta: float | None,
     preset: dict[int, str] | None = None,
-) -> tuple[CenterString, RoundingTrace, int]:
-    """One full rounding pass; returns (center, trace, first-solve bound).
+) -> RoundingResult:
+    """One full rounding pass.
 
     ``theta`` None means single-pin mode (one argmax pin per solve);
     otherwise threshold batch mode. ``preset`` positions are pinned before
@@ -161,12 +163,21 @@ def _round_once(
     iterations: list[RoundingIteration] = []
     first: dict[int, float] = {}
     second: dict[int, str] = {}
-    first_bound: int | None = None
 
+    def trace() -> RoundingTrace:
+        return RoundingTrace(
+            tuple(iterations), MappingProxyType(first), MappingProxyType(second)
+        )
+
+    t0 = time.perf_counter()
     while True:
-        sol = _solve_step(inst, fixed, iterations, first, second)
-        if first_bound is None:
-            first_bound = lp_lower_bound(sol)
+        try:
+            sol = solve_relaxation(inst, fixed)
+        except LpFailureError as exc:
+            exc.trace = trace()
+            raise
+        if not iterations:
+            root, root_ms = sol, (time.perf_counter() - t0) * 1000.0
         fixes: list[Fix] = []
         for j in preset_pending:
             fixes.append(
@@ -200,35 +211,19 @@ def _round_once(
             break
 
     center = objective("".join(fixed[j] for j in range(n)), inst)
-    trace = RoundingTrace(
-        tuple(iterations), MappingProxyType(first), MappingProxyType(second)
-    )
-    assert first_bound is not None
-    return center, trace, first_bound
+    return RoundingResult(center, trace(), root, root_ms)
 
 
 def algorithm_a(inst: Instance) -> RoundingResult:
     """Single-pin iterative rounding: exactly n LP solves, one pin each."""
-    center, trace, bound = _round_once(inst, theta=None)
-    return RoundingResult(
-        center=center,
-        lp_bound=bound,
-        trace=trace,
-        exact_certified=center.objective == bound,
-    )
+    return _round_once(inst, theta=None)
 
 
 def algorithm_b(inst: Instance, theta: float = 0.9) -> RoundingResult:
     """Threshold batch rounding: pin all values >= theta per solve, with a
     single-argmax fallback when no position qualifies."""
     _check_theta(theta)
-    center, trace, bound = _round_once(inst, theta=theta)
-    return RoundingResult(
-        center=center,
-        lp_bound=bound,
-        trace=trace,
-        exact_certified=center.objective == bound,
-    )
+    return _round_once(inst, theta=theta)
 
 
 def algorithm_c(
@@ -245,27 +240,18 @@ def algorithm_c(
     _check_theta(theta)
     if retries < 1:
         raise ValueError(f"retries must be >= 1, got {retries}")
-    base_center, base_trace, bound = _round_once(inst, theta=theta)
-    if base_center.objective == bound:
-        return RoundingResult(
-            center=base_center, lp_bound=bound, trace=base_trace,
-            exact_certified=True,
-        )
+    base = _round_once(inst, theta=theta)
+    if base.exact_certified:
+        return base
 
+    base_trace = base.trace
     candidates = sorted(
         (k for k in base_trace.first if k in base_trace.second),
         key=lambda k: (base_trace.first[k], k),
     )[:retries]
-    best_center, best_trace = base_center, base_trace
+    best = base
     for k in candidates:
-        center, trace, _ = _round_once(
-            inst, theta=theta, preset={k: base_trace.second[k]}
-        )
-        if center.objective < best_center.objective:
-            best_center, best_trace = center, trace
-    return RoundingResult(
-        center=best_center,
-        lp_bound=bound,
-        trace=best_trace,
-        exact_certified=best_center.objective == bound,
-    )
+        retry = _round_once(inst, theta=theta, preset={k: base_trace.second[k]})
+        if retry.center.objective < best.center.objective:
+            best = replace(best, center=retry.center, trace=retry.trace)
+    return best

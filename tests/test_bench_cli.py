@@ -1,8 +1,13 @@
 import json
 
+import numpy as np
+import pytest
+
+import closest_string.lp
 from closest_string import Alphabet, brute_force_center, parse_instance
 from closest_string.bench import make_row, measure_batch, rows_to_csv, run_bench
 from closest_string.cli import main
+from closest_string.simplex import NUMERIC_FAILURE, SimplexResult
 
 
 def _mask_ms_columns(csv_text):
@@ -39,6 +44,15 @@ class TestGen:
         ])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_unwritable_alphabet_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csp"
+        code = main([
+            "gen", "--m", "2", "--n", "4", "--alphabet", "#A", "--out", str(out),
+        ])
+        assert code == 2
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSolve:
@@ -98,6 +112,17 @@ class TestSolve:
         assert report["objective"] == oracle.optimum
         assert report["certified"] is True
         assert report["lp_bound"] <= report["objective"]
+
+    @pytest.mark.parametrize("alg", ["c", "bnb"])
+    def test_lp_failure_exits_4(self, alg, tmp_path, capsys, monkeypatch):
+        def failing_simplex(A, b, c, lower, upper, basis, max_iterations=None):
+            return SimplexResult(np.full(len(c), np.nan), float("nan"), 0, NUMERIC_FAILURE)
+
+        f = tmp_path / "inst.csp"
+        f.write_text("ACGT\nAGGT\nACGA\n")
+        monkeypatch.setattr(closest_string.lp, "solve_bounded", failing_simplex)
+        assert main(["solve", "--alg", alg, "--in", str(f)]) == 4
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["solve", "--alg", "c", "--in", "/no/such/file.csp"]) == 2

@@ -106,6 +106,19 @@ def test_validate_respects_explicit_alphabet():
 def test_validate_rejects_symbol_outside_explicit_alphabet():
     with pytest.raises(FormatError):
         validate_instance(["02"], alphabet=Alphabet.from_string("01"))
+    with pytest.raises(FormatError):
+        validate_instance(["αγ"], alphabet=Alphabet.from_string("αβ"))
+
+
+@given(st.lists(st.text(min_size=3, max_size=3), min_size=1, max_size=5))
+def test_encode_matches_index_loop_and_decodes_back(strings):
+    # Arbitrary code points, astral and NUL included: the vectorised
+    # encoder agrees with the per-symbol lookup and decode inverts it.
+    alpha = Alphabet.inferred(strings)
+    codes = alpha.encode(strings)
+    assert codes.tolist() == [[alpha.index(c) for c in s] for s in strings]
+    assert alpha.decode(codes) == tuple(strings)
+    assert alpha.decode(codes[0]) == (strings[0],)
 
 
 def test_alphabet_rejects_duplicates_and_empty():

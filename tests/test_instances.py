@@ -86,6 +86,18 @@ class TestParse:
         with pytest.raises(FormatError):
             parse_instance("alphabet: 01\nalphabet: 01\n00\n")
 
+    def test_reserved_symbols_rejected_with_line(self):
+        for text, line in (
+            ("alphabet: #A\nAA\n", 1),
+            ("alphabet: A B\nAB\n", 1),
+            ("AB\nA#\n", 2),
+            ("AB\nA:\n", 2),
+            ("ABC\nA C\n", 2),
+        ):
+            with pytest.raises(FormatError) as err:
+                parse_instance(text)
+            assert f"line {line}" in str(err.value)
+
     def test_accepts_bytes(self):
         assert parse_instance(b"AC\nAG\n").m == 2
 
@@ -108,6 +120,13 @@ class TestSerialize:
         text = serialize_instance(inst)
         assert "alphabet: 10" in text
         assert parse_instance(text) == inst
+
+    def test_reserved_symbols_not_serialized(self):
+        # Written out, "#A" would come back as a comment and one string "A#".
+        for symbols in ("#A", ":A", "A B", "A\t"):
+            inst = Instance(Alphabet.from_string(symbols), (symbols, symbols[::-1]))
+            with pytest.raises(FormatError):
+                serialize_instance(inst)
 
     @settings(max_examples=60, deadline=None)
     @given(
