@@ -15,7 +15,10 @@ from closest_string import (
     GeneratorConfig,
     branch_and_bound,
     brute_force_center,
+    build_csp_lp,
     generate_uniform,
+    lp_lower_bound,
+    solve_lp,
     validate_instance,
 )
 
@@ -46,9 +49,10 @@ try:
 except CapacityError as exc:
     print("\ncapacity guard:", exc)
 
-# Branch and bound accepts a wall-clock budget; the LP ceiling can close
-# the search early once the incumbent matches it.
-fast = branch_and_bound(wide, time_limit=2.0, use_lp_bound=True)
+# Branch and bound accepts a wall-clock budget and a lower bound; given the
+# LP ceiling, it stops early once the incumbent matches it.
+ceiling = lp_lower_bound(solve_lp(build_csp_lp(wide)))
+fast = branch_and_bound(wide, time_limit=2.0, lower_bound=ceiling)
 print(
     f"bounded search on the wide instance: objective={fast.optimum} "
     f"certified={fast.certified} nodes={fast.nodes_explored}"

@@ -72,9 +72,11 @@ def run_solver(
     retries: int,
     time_limit: float,
     node_limit: int,
+    lower_bound: int = 0,
 ) -> RoundingResult | ExactResult:
     """Run the solver called ``name``: a rounding heuristic from HEURISTICS
-    or an exact oracle from EXACT_SOLVERS, each given the options it takes."""
+    or an exact oracle from EXACT_SOLVERS, each given the options it takes.
+    Only bnb takes ``lower_bound``; brute stays independent of the LP."""
     if name == "a":
         return algorithm_a(inst)
     if name == "b":
@@ -84,7 +86,7 @@ def run_solver(
     if name == "brute":
         return brute_force_center(inst, node_limit=node_limit)
     if name == "bnb":
-        return branch_and_bound(inst, time_limit=time_limit)
+        return branch_and_bound(inst, time_limit=time_limit, lower_bound=lower_bound)
     raise ValueError(f"unknown solver {name!r}")
 
 
@@ -111,7 +113,9 @@ def measure_instance(
     if exact is not None:
         t0 = time.perf_counter()
         try:
-            er = run_solver(inst, exact, theta, retries, time_limit, node_limit)
+            er = run_solver(
+                inst, exact, theta, retries, time_limit, node_limit, res.lp_bound
+            )
         except CapacityError:
             er = None
         exact_ms = (time.perf_counter() - t0) * 1000.0

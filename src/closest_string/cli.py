@@ -100,15 +100,18 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = parse_instance(Path(args.infile).read_bytes())
     t0 = time.perf_counter()
-    # A heuristic's result carries its root LP; an exact solver's does not.
+    # A heuristic's result carries its root LP; for an exact solver the root
+    # is solved here, and bnb takes its ceiling as a lower bound.
     root = None if args.alg in HEURISTICS else solve_relaxation(inst)
+    lp_bound = 0 if root is None else lp_lower_bound(root)
     res = run_solver(
-        inst, args.alg, args.theta, args.retries, args.time_limit, args.node_limit
+        inst, args.alg, args.theta, args.retries, args.time_limit, args.node_limit,
+        lp_bound,
     )
     if root is None:
         lp_bound, certified = res.lp_bound, res.exact_certified
     else:
-        lp_bound, certified = lp_lower_bound(root), res.certified
+        certified = res.certified
     millis = round((time.perf_counter() - t0) * 1000.0, 3)
 
     report = {

@@ -14,8 +14,7 @@ import numpy as np
 
 from .core import CenterString, Instance, objective
 from .errors import CapacityError
-from .lp import build_csp_lp, lp_lower_bound, solve_lp
-from .simplex import OPTIMAL
+from .lp import build_csp_lp, solve_lp  # noqa: F401 (traced by perfbench/spans.py)
 
 PROOF_ENUMERATION = "enumeration"
 PROOF_BRANCH_AND_BOUND = "branch-and-bound"
@@ -49,9 +48,11 @@ def brute_force_center(
     (naming the required node count) when the grid exceeds ``node_limit``.
     """
     codes = inst.codes
-    n, m = inst.n, inst.m
-    col_codes = [np.unique(codes[:, j]) for j in range(n)]
-    radices = [len(cc) for cc in col_codes]
+    col_codes = [np.unique(col) for col in codes.T]
+    # A column with one symbol takes it: that costs no string a mismatch and
+    # adds a radix-1 digit, which leaves the enumeration order unchanged.
+    varying = [j for j, cc in enumerate(col_codes) if len(cc) > 1]
+    radices = [len(col_codes[j]) for j in varying]
     total = 1
     for r in radices:
         total *= r
@@ -59,31 +60,32 @@ def brute_force_center(
         raise CapacityError(required=total, limit=node_limit)
 
     # Strides for decoding a flat index into per-column digit choices.
-    strides = np.empty(n, dtype=np.int64)
+    v = len(varying)
+    strides = np.empty(v, dtype=np.int64)
     acc = 1
-    for j in range(n - 1, -1, -1):
-        strides[j] = acc
-        acc *= radices[j]
+    for t in range(v - 1, -1, -1):
+        strides[t] = acc
+        acc *= radices[t]
     radix_arr = np.array(radices, dtype=np.int64)
+    vcodes = codes[:, varying]
 
-    best_obj = n + 1
-    best_codes: np.ndarray | None = None
+    best_obj = inst.n + 1
+    best_codes = codes[0].copy()
     for start in range(0, total, _CHUNK):
         stop = min(start + _CHUNK, total)
         idx = np.arange(start, stop, dtype=np.int64)
         digits = (idx[:, None] // strides[None, :]) % radix_arr[None, :]
-        grid = np.empty((stop - start, n), dtype=np.int16)
-        for j in range(n):
-            grid[:, j] = col_codes[j][digits[:, j]]
+        grid = np.empty((stop - start, v), dtype=np.int16)
+        for t, j in enumerate(varying):
+            grid[:, t] = col_codes[j][digits[:, t]]
         obj = np.zeros(stop - start, dtype=np.int32)
-        for i in range(m):
-            np.maximum(obj, (grid != codes[i][None, :]).sum(axis=1), out=obj)
+        for row in vcodes:
+            np.maximum(obj, (grid != row[None, :]).sum(axis=1), out=obj)
         pos = int(np.argmin(obj))
         if int(obj[pos]) < best_obj:
             best_obj = int(obj[pos])
-            best_codes = grid[pos].copy()
+            best_codes[varying] = grid[pos]
 
-    assert best_codes is not None
     center = objective(inst.alphabet.decode(best_codes)[0], inst)
     return ExactResult(
         center=center,
@@ -97,14 +99,15 @@ def brute_force_center(
 def branch_and_bound(
     inst: Instance,
     time_limit: float = 60.0,
-    use_lp_bound: bool = False,
+    lower_bound: int = 0,
 ) -> ExactResult:
     """Depth-first search over positions with mismatch-count pruning.
 
     A node is cut as soon as some string's partial mismatch count reaches
     the incumbent objective. The initial incumbent is the best input
-    string used as a center. With ``use_lp_bound`` the search can stop
-    early once the incumbent matches the LP ceiling. On timeout the
+    string used as a center. The search stops early once the incumbent
+    reaches ``lower_bound``, which must be a valid lower bound on the
+    optimum (such as the LP ceiling, ``lp_lower_bound``). On timeout the
     incumbent comes back with ``certified=False`` rather than an error.
     """
     codes = inst.codes
@@ -122,12 +125,6 @@ def branch_and_bound(
     input_objs = pairwise.max(axis=1)
     best = int(input_objs.min())
     best_codes = codes[int(np.argmin(input_objs))].copy()
-
-    lower_bound = 0
-    if use_lp_bound:
-        sol = solve_lp(build_csp_lp(inst))
-        if sol.status == OPTIMAL:
-            lower_bound = lp_lower_bound(sol)
 
     cols = codes.T.tolist()
     deadline = time.monotonic() + time_limit

@@ -3,9 +3,9 @@
 Variables: one x(a, j) in [0, 1] per symbol ``a`` and position ``j``
 (position-major order), plus the distance variable d. Constraints: each
 position's x values sum to one, and for each string i,
-n - sum_j x(s_i[j], j) <= d. Positions may be pinned to a symbol, encoded
-as coinciding bounds so the variable indexing never changes between the
-repeated solves the rounding drivers perform.
+n - sum_j x(s_i[j], j) <= d. Positions may be pinned to a symbol; a pinned
+position has no variables or row of its own, since its x values are known:
+each string row's right-hand side counts it as a match or a mismatch.
 """
 
 from __future__ import annotations
@@ -56,32 +56,6 @@ class LpModel:
     def m(self) -> int:
         return self.instance.m
 
-    @property
-    def num_x_vars(self) -> int:
-        return self.n * self.k
-
-    @property
-    def d_index(self) -> int:
-        return self.num_x_vars
-
-    def var_index(self, symbol: str, position: int) -> int:
-        if not 0 <= position < self.n:
-            raise ValueError(f"position {position} out of range")
-        return position * self.k + self.instance.alphabet.index(symbol)
-
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Lower/upper bounds over the x variables plus d (last entry)."""
-        lower = np.zeros(self.num_x_vars + 1)
-        upper = np.ones(self.num_x_vars + 1)
-        upper[self.d_index] = float(self.n)
-        for position, symbol in self.fixed:
-            base = position * self.k
-            upper[base : base + self.k] = 0.0
-            chosen = base + self.instance.alphabet.index(symbol)
-            lower[chosen] = 1.0
-            upper[chosen] = 1.0
-        return lower, upper
-
 
 @dataclass(frozen=True)
 class LpSolution:
@@ -113,49 +87,54 @@ def build_csp_lp(
 def solve_lp(model: LpModel, *, max_iterations: int | None = None) -> LpSolution:
     """Minimize d over the relaxation; deterministic for a given model.
 
-    The constraint rows always admit a basic feasible start built from the
-    first input string (pinned positions overriding its characters), so no
-    auxiliary phase is needed. The returned vertex is verified against the
-    model's constraints within EPSILON; violations surface as a
+    Only the free positions enter the simplex: f assignment rows and the m
+    string rows over f*k x columns, d and one slack per string. The
+    constraint rows always admit a basic feasible start built from the
+    first input string, so no auxiliary phase is needed. The returned
+    vertex, pinned rows one-hot, is verified against the model's
+    constraints within EPSILON; violations surface as a
     ``numeric-failure`` status, never as a silently wrong optimum.
     """
     inst = model.instance
     n, m, k = model.n, model.m, model.k
-    nx = model.num_x_vars
+    codes = inst.codes
+    pins = np.full(n, -1, dtype=np.int64)
+    for position, symbol in model.fixed:
+        pins[position] = inst.alphabet.index(symbol)
+    free = np.flatnonzero(pins < 0)
+    f = free.size
+    free_codes = codes[:, free]
+    nx = f * k
     d_col = nx
     s0 = nx + 1
     ncols = nx + 1 + m
-    nrows = n + m
-    codes = inst.codes
+    nrows = f + m
 
     A = np.zeros((nrows, ncols))
-    for j in range(n):
-        A[j, j * k : (j + 1) * k] = 1.0
-    string_rows = n + np.repeat(np.arange(m), n)
-    x_cols = np.tile(np.arange(n) * k, m) + codes.ravel()
+    A[np.repeat(np.arange(f), k), np.arange(nx)] = 1.0
+    string_rows = f + np.repeat(np.arange(m), f)
+    x_cols = np.tile(np.arange(f) * k, m) + free_codes.ravel()
     A[string_rows, x_cols] = 1.0
-    A[n:, d_col] = 1.0
-    A[n + np.arange(m), s0 + np.arange(m)] = -1.0
-    b = np.concatenate([np.ones(n), np.full(m, float(n))])
+    A[f:, d_col] = 1.0
+    A[f + np.arange(m), s0 + np.arange(m)] = -1.0
+    # String i's row: sum of its free x values + d - slack = n - (pins it matches).
+    rhs = n - (codes == pins[None, :]).sum(axis=1)
+    b = np.concatenate([np.ones(f), rhs])
     c = np.zeros(ncols)
     c[d_col] = 1.0
+    lower = np.zeros(ncols)
+    upper = np.concatenate([np.ones(nx), np.full(1 + m, float(n))])
 
-    x_lower, x_upper = model.bounds()
-    lower = np.concatenate([x_lower, np.zeros(m)])
-    upper = np.concatenate([x_upper, np.full(m, float(n))])
-
-    # Crash basis: the center given by string 0 (pinned symbols overriding)
-    # is feasible with d at the worst distance; slack of the worst row stays
-    # nonbasic at zero.
-    anchor = codes[0].copy()
-    for position, symbol in model.fixed:
-        anchor[position] = inst.alphabet.index(symbol)
-    dist = (codes != anchor[None, :]).sum(axis=1)
+    # Crash basis: the center given by string 0 on the free positions is
+    # feasible with d at the worst distance, pinned mismatches included;
+    # slack of the worst row stays nonbasic at zero.
+    anchor = free_codes[0]
+    dist = rhs - (free_codes == anchor[None, :]).sum(axis=1)
     worst = int(np.argmax(dist))
     basis = np.empty(nrows, dtype=np.int64)
-    basis[:n] = np.arange(n) * k + anchor
-    basis[n] = d_col
-    basis[n + 1 :] = s0 + np.array([i for i in range(m) if i != worst], dtype=np.int64)
+    basis[:f] = np.arange(f) * k + anchor
+    basis[f] = d_col
+    basis[f + 1 :] = s0 + np.array([i for i in range(m) if i != worst], dtype=np.int64)
 
     result = solve_bounded(
         A, b, c, lower, upper, basis, max_iterations=max_iterations
@@ -171,7 +150,10 @@ def solve_lp(model: LpModel, *, max_iterations: int | None = None) -> LpSolution
             iterations=result.iterations,
         )
 
-    xmat = result.x[:nx].reshape(n, k).copy()
+    xmat = np.zeros((n, k))
+    xmat[free] = result.x[:nx].reshape(f, k)
+    pinned = np.flatnonzero(pins >= 0)
+    xmat[pinned, pins[pinned]] = 1.0
     dvalue = float(result.x[d_col])
     position_sums = xmat.sum(axis=1)
     string_dists = n - xmat[np.arange(n)[None, :], codes].sum(axis=1)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,11 @@ from closest_string import (
     GeneratorConfig,
     branch_and_bound,
     brute_force_center,
+    build_csp_lp,
     generate_uniform,
+    lp_lower_bound,
     objective,
+    solve_lp,
     validate_instance,
 )
 
@@ -63,6 +67,28 @@ class TestBruteForce:
             )
             assert restricted.optimum == full
 
+    def test_memory_scales_with_varying_columns_only(self):
+        # Two strings of length 600 that differ in 16 columns: 2^16 centers.
+        # Only those 16 columns are enumerated, so a 65,536-row chunk stays
+        # small whatever the length.
+        rng = np.random.default_rng(16)
+        a = rng.integers(0, 4, size=600)
+        b = a.copy()
+        varying = rng.choice(600, size=16, replace=False)
+        b[varying] = (a[varying] + 1) % 4
+        inst = validate_instance(
+            ["".join("ACGT"[c] for c in s) for s in (a, b)], Alphabet.from_string("ACGT")
+        )
+        tracemalloc.start()
+        try:
+            res = brute_force_center(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.nodes_explored == 1 << 16
+        assert peak < 32 * 2**20
+        assert res.optimum == branch_and_bound(inst).optimum == 8
+
 
 class TestBranchAndBound:
     def test_two_opposed_strings(self):
@@ -98,8 +124,11 @@ class TestBranchAndBound:
         for _ in range(10):
             inst = _seeded(3, 8, "ACGT", int(rng.integers(0, 2**32)))
             plain = branch_and_bound(inst)
-            bounded = branch_and_bound(inst, use_lp_bound=True)
+            bound = lp_lower_bound(solve_lp(build_csp_lp(inst)))
+            bounded = branch_and_bound(inst, lower_bound=bound)
             assert plain.optimum == bounded.optimum
+            assert plain.center == bounded.center
+            assert bounded.certified
             assert bounded.nodes_explored <= plain.nodes_explored
 
     def test_timeout_returns_uncertified_incumbent(self):
