@@ -41,11 +41,12 @@ for name, run in (("a", algorithm_a), ("b", algorithm_b), ("c", algorithm_c)):
         f"certified={res.exact_certified} lp_solves={res.trace.lp_solves}"
     )
 
-# The trace shows each LP solve and what it pinned.
+# The trace shows each LP solve, the simplex pivots it took (each
+# re-solve warm-starts from the previous solve's rounding) and what it pinned.
 res = algorithm_b(inst)
 print("\nthreshold-run trace:")
 for step, it in enumerate(res.trace.iterations, start=1):
     pins = ", ".join(
         f"{f.position}->{f.symbol}[{f.branch}@{f.value:.2f}]" for f in it.fixes
     )
-    print(f"  solve {step}: d={it.dvalue:.3f}  pinned {pins}")
+    print(f"  solve {step}: d={it.dvalue:.3f} pivots={it.lp_pivots}  pinned {pins}")

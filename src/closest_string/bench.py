@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .core import Alphabet, Instance
+from .core import Alphabet, CenterString, Instance
 from .errors import CapacityError
 from .exact import ExactResult, branch_and_bound, brute_force_center
 from .instances import GeneratorConfig, generate_uniform
@@ -73,10 +73,12 @@ def run_solver(
     time_limit: float,
     node_limit: int,
     lower_bound: int = 0,
+    incumbent: CenterString | None = None,
 ) -> RoundingResult | ExactResult:
     """Run the solver called ``name``: a rounding heuristic from HEURISTICS
     or an exact oracle from EXACT_SOLVERS, each given the options it takes.
-    Only bnb takes ``lower_bound``; brute stays independent of the LP."""
+    Only bnb takes ``lower_bound`` and a starting ``incumbent``; brute stays
+    independent of the LP and the heuristic."""
     if name == "a":
         return algorithm_a(inst)
     if name == "b":
@@ -86,7 +88,9 @@ def run_solver(
     if name == "brute":
         return brute_force_center(inst, node_limit=node_limit)
     if name == "bnb":
-        return branch_and_bound(inst, time_limit=time_limit, lower_bound=lower_bound)
+        return branch_and_bound(
+            inst, time_limit=time_limit, lower_bound=lower_bound, incumbent=incumbent
+        )
     raise ValueError(f"unknown solver {name!r}")
 
 
@@ -101,7 +105,8 @@ def measure_instance(
     node_limit: int,
 ) -> InstanceRecord:
     """Heuristic run, with its root LP, and optional exact solve for one
-    instance."""
+    instance. bnb starts from the heuristic's center and stops at its LP
+    ceiling, so a certified heuristic center ends the search at once."""
     if alg not in HEURISTICS or exact not in (*EXACT_SOLVERS, None):
         raise ValueError(f"need a heuristic and an optional exact solver: {alg!r}, {exact!r}")
     t0 = time.perf_counter()
@@ -114,7 +119,8 @@ def measure_instance(
         t0 = time.perf_counter()
         try:
             er = run_solver(
-                inst, exact, theta, retries, time_limit, node_limit, res.lp_bound
+                inst, exact, theta, retries, time_limit, node_limit,
+                res.lp_bound, res.center,
             )
         except CapacityError:
             er = None

@@ -100,15 +100,18 @@ def branch_and_bound(
     inst: Instance,
     time_limit: float = 60.0,
     lower_bound: int = 0,
+    incumbent: CenterString | None = None,
 ) -> ExactResult:
     """Depth-first search over positions with mismatch-count pruning.
 
     A node is cut as soon as some string's partial mismatch count reaches
     the incumbent objective. The initial incumbent is the best input
-    string used as a center. The search stops early once the incumbent
-    reaches ``lower_bound``, which must be a valid lower bound on the
-    optimum (such as the LP ceiling, ``lp_lower_bound``). On timeout the
-    incumbent comes back with ``certified=False`` rather than an error.
+    string used as a center, or ``incumbent`` (such as a rounding
+    heuristic's center) when it is strictly better. The search stops
+    early once the incumbent reaches ``lower_bound``, which must be a
+    valid lower bound on the optimum (such as the LP ceiling,
+    ``lp_lower_bound``). On timeout the incumbent comes back with
+    ``certified=False`` rather than an error.
     """
     codes = inst.codes
     n, m = inst.n, inst.m
@@ -125,6 +128,11 @@ def branch_and_bound(
     input_objs = pairwise.max(axis=1)
     best = int(input_objs.min())
     best_codes = codes[int(np.argmin(input_objs))].copy()
+    if incumbent is not None:
+        given = objective(incumbent.chars, inst)
+        if given.objective < best:
+            best = given.objective
+            best_codes = inst.alphabet.encode([given.chars])[0]
 
     cols = codes.T.tolist()
     deadline = time.monotonic() + time_limit

@@ -6,6 +6,10 @@ position's x values sum to one, and for each string i,
 n - sum_j x(s_i[j], j) <= d. Positions may be pinned to a symbol; a pinned
 position has no variables or row of its own, since its x values are known:
 each string row's right-hand side counts it as a match or a mismatch.
+
+Every solve starts from a crash basis built around an integral start center:
+by default the column consensus, or a center the caller already has (the
+rounding drivers pass the previous solve's argmax rounding).
 """
 
 from __future__ import annotations
@@ -31,14 +35,16 @@ class LpModel:
     fixed: tuple[tuple[int, str], ...]
 
     def __post_init__(self) -> None:
+        n = self.instance.n
+        symbols = self.instance.alphabet.symbols
+        allowed = frozenset(symbols)
         seen: set[int] = set()
         for position, symbol in self.fixed:
-            if not 0 <= position < self.instance.n:
+            if not 0 <= position < n:
                 raise ValueError(f"fixed position {position} out of range")
-            if symbol not in self.instance.alphabet:
+            if symbol not in allowed:
                 raise ValueError(
-                    f"fixed symbol {symbol!r} not in alphabet "
-                    f"{''.join(self.instance.alphabet.symbols)!r}"
+                    f"fixed symbol {symbol!r} not in alphabet {''.join(symbols)!r}"
                 )
             if position in seen:
                 raise ValueError(f"position {position} fixed more than once")
@@ -84,13 +90,22 @@ def build_csp_lp(
     return LpModel(instance=inst, fixed=pairs)
 
 
-def solve_lp(model: LpModel, *, max_iterations: int | None = None) -> LpSolution:
-    """Minimize d over the relaxation; deterministic for a given model.
+def solve_lp(
+    model: LpModel,
+    *,
+    start: np.ndarray | None = None,
+    max_iterations: int | None = None,
+) -> LpSolution:
+    """Minimize d over the relaxation; deterministic for a given model and
+    start.
 
     Only the free positions enter the simplex: f assignment rows and the m
-    string rows over f*k x columns, d and one slack per string. The
-    constraint rows always admit a basic feasible start built from the
-    first input string, so no auxiliary phase is needed. The returned
+    string rows over f*k x columns, d and one slack per string. Any
+    integral center gives a basic feasible start, so no auxiliary phase is
+    needed. ``start`` is that center as n alphabet indices (pinned
+    positions are ignored); by default each free column takes its most
+    frequent symbol, ties to the lowest index. The optimal value does not
+    depend on the start, though the optimal vertex may. The returned
     vertex, pinned rows one-hot, is verified against the model's
     constraints within EPSILON; violations surface as a
     ``numeric-failure`` status, never as a silently wrong optimum.
@@ -113,7 +128,7 @@ def solve_lp(model: LpModel, *, max_iterations: int | None = None) -> LpSolution
     A = np.zeros((nrows, ncols))
     A[np.repeat(np.arange(f), k), np.arange(nx)] = 1.0
     string_rows = f + np.repeat(np.arange(m), f)
-    x_cols = np.tile(np.arange(f) * k, m) + free_codes.ravel()
+    x_cols = (np.arange(f) * k + free_codes).ravel()
     A[string_rows, x_cols] = 1.0
     A[f:, d_col] = 1.0
     A[f + np.arange(m), s0 + np.arange(m)] = -1.0
@@ -125,10 +140,20 @@ def solve_lp(model: LpModel, *, max_iterations: int | None = None) -> LpSolution
     lower = np.zeros(ncols)
     upper = np.concatenate([np.ones(nx), np.full(1 + m, float(n))])
 
-    # Crash basis: the center given by string 0 on the free positions is
-    # feasible with d at the worst distance, pinned mismatches included;
-    # slack of the worst row stays nonbasic at zero.
-    anchor = free_codes[0]
+    # Crash basis: the start center on the free positions is feasible with
+    # d at the worst distance, pinned mismatches included; slack of the
+    # worst row stays nonbasic at zero.
+    if start is None:
+        anchor = np.bincount(x_cols, minlength=nx).reshape(f, k).argmax(axis=1)
+    else:
+        start = np.asarray(start)
+        if (
+            start.shape != (n,)
+            or not np.issubdtype(start.dtype, np.integer)
+            or not np.all((start >= 0) & (start < k))
+        ):
+            raise ValueError(f"start must be {n} alphabet indices in [0, {k})")
+        anchor = start[free]
     dist = rhs - (free_codes == anchor[None, :]).sum(axis=1)
     worst = int(np.argmax(dist))
     basis = np.empty(nrows, dtype=np.int64)

@@ -14,6 +14,10 @@ Three drivers share one engine:
   LP ceiling, it retries from the least confident argmax pins with the
   runner-up symbol pre-pinned, and keeps the best center found.
 
+Each re-solve warm-starts the simplex from the argmax rounding of the
+previous solve, and each retry's first solve from that of the base run's
+root; the root itself starts from the column consensus.
+
 Tie-breaking is everywhere "lowest position index, then alphabet order",
 so identical inputs give identical traces.
 """
@@ -53,10 +57,12 @@ class Fix:
 
 @dataclass(frozen=True)
 class RoundingIteration:
-    """One LP solve and the pins applied right after it."""
+    """One LP solve, the pins applied right after it, and the simplex
+    pivots the solve took."""
 
     dvalue: float
     fixes: tuple[Fix, ...]
+    lp_pivots: int = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -108,11 +114,14 @@ def _check_theta(theta: float) -> None:
 
 
 def solve_relaxation(
-    inst: Instance, fixed: Mapping[int, str] | None = None
+    inst: Instance,
+    fixed: Mapping[int, str] | None = None,
+    start: np.ndarray | None = None,
 ) -> LpSolution:
-    """Optimal LP relaxation of ``inst`` with ``fixed`` positions pinned: the
-    one place where a non-optimal LP status becomes LpFailureError."""
-    sol = solve_lp(build_csp_lp(inst, fixed))
+    """Optimal LP relaxation of ``inst`` with ``fixed`` positions pinned,
+    warm-started from the ``start`` center (see ``solve_lp``): the one place
+    where a non-optimal LP status becomes LpFailureError."""
+    sol = solve_lp(build_csp_lp(inst, fixed), start=start)
     if sol.status != OPTIMAL:
         raise LpFailureError(
             f"LP solve failed with status {sol.status!r}", status=sol.status
@@ -146,12 +155,15 @@ def _round_once(
     inst: Instance,
     theta: float | None,
     preset: dict[int, str] | None = None,
+    start: np.ndarray | None = None,
 ) -> RoundingResult:
     """One full rounding pass.
 
     ``theta`` None means single-pin mode (one argmax pin per solve);
     otherwise threshold batch mode. ``preset`` positions are pinned before
-    the first solve and recorded in the first iteration's fix set.
+    the first solve and recorded in the first iteration's fix set. The
+    first solve starts from ``start`` (default: the column consensus),
+    every later one from the argmax rounding of the solve before it.
     """
     n = inst.n
     alphabet = inst.alphabet
@@ -172,7 +184,7 @@ def _round_once(
     t0 = time.perf_counter()
     while True:
         try:
-            sol = solve_relaxation(inst, fixed)
+            sol = solve_relaxation(inst, fixed, start)
         except LpFailureError as exc:
             exc.trace = trace()
             raise
@@ -206,9 +218,10 @@ def _round_once(
             if f.branch != BRANCH_PRESET:
                 fixed[f.position] = f.symbol
                 unfixed[f.position] = False
-        iterations.append(RoundingIteration(sol.dvalue, tuple(fixes)))
+        iterations.append(RoundingIteration(sol.dvalue, tuple(fixes), sol.iterations))
         if not unfixed.any():
             break
+        start = sol.x.argmax(axis=1)
 
     center = objective("".join(fixed[j] for j in range(n)), inst)
     return RoundingResult(center, trace(), root, root_ms)
@@ -235,7 +248,8 @@ def algorithm_c(
     returned as certified. Otherwise the ``retries`` least confident
     argmax pins (smallest ``first`` value, then lowest position) are each
     retried with the runner-up symbol pre-pinned, and the best center over
-    all runs wins; ties keep the earliest run.
+    all runs wins; ties keep the earliest run. Each retry warm-starts from
+    the argmax rounding of the base run's root LP.
     """
     _check_theta(theta)
     if retries < 1:
@@ -249,9 +263,12 @@ def algorithm_c(
         (k for k in base_trace.first if k in base_trace.second),
         key=lambda k: (base_trace.first[k], k),
     )[:retries]
+    root_start = base.root_lp.x.argmax(axis=1)
     best = base
     for k in candidates:
-        retry = _round_once(inst, theta=theta, preset={k: base_trace.second[k]})
+        retry = _round_once(
+            inst, theta=theta, preset={k: base_trace.second[k]}, start=root_start
+        )
         if retry.center.objective < best.center.objective:
             best = replace(best, center=retry.center, trace=retry.trace)
     return best

@@ -4,8 +4,20 @@ import numpy as np
 import pytest
 
 import closest_string.lp
-from closest_string import Alphabet, brute_force_center, parse_instance
-from closest_string.bench import make_row, measure_batch, rows_to_csv, run_bench
+from closest_string import (
+    Alphabet,
+    GeneratorConfig,
+    brute_force_center,
+    generate_uniform,
+    parse_instance,
+)
+from closest_string.bench import (
+    make_row,
+    measure_batch,
+    measure_instance,
+    rows_to_csv,
+    run_bench,
+)
 from closest_string.cli import main
 from closest_string.simplex import NUMERIC_FAILURE, SimplexResult
 
@@ -158,6 +170,22 @@ class TestBenchHarness:
             batch=3, seed=11, alg="a", exact="brute",
         )
         assert rows[0].exact_avg == rows[0].alg_avg
+
+    def test_bnb_stops_at_certified_heuristic_center(self):
+        # From the best input string alone, bnb runs past 2 s on each of
+        # these 5x30 instances; the certified heuristic center ends it.
+        limit = 20.0
+        for seed in (2, 4, 6, 11):
+            inst = generate_uniform(GeneratorConfig(
+                m=5, n=30, alphabet=Alphabet.from_string("ACGT"), seed=seed
+            ))
+            rec = measure_instance(
+                inst, seed, alg="c", theta=0.9, retries=8, exact="bnb",
+                time_limit=limit, node_limit=2_000_000,
+            )
+            assert rec.alg_certified
+            assert rec.exact_optimum == rec.alg_objective
+            assert rec.exact_ms < limit * 1000.0 / 10
 
     def test_exact_column_empty_when_skipped(self):
         rows = run_bench(

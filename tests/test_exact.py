@@ -8,6 +8,7 @@ from closest_string import (
     Alphabet,
     CapacityError,
     GeneratorConfig,
+    algorithm_c,
     branch_and_bound,
     brute_force_center,
     build_csp_lp,
@@ -130,6 +131,39 @@ class TestBranchAndBound:
             assert plain.center == bounded.center
             assert bounded.certified
             assert bounded.nodes_explored <= plain.nodes_explored
+
+    def test_heuristic_incumbent_keeps_the_optimum(self):
+        rng = np.random.default_rng(62)
+        for _ in range(15):
+            inst = _seeded(
+                int(rng.integers(2, 6)), int(rng.integers(2, 10)),
+                str(rng.choice(["01", "ACGT"])), int(rng.integers(0, 2**32)),
+            )
+            res = algorithm_c(inst)
+            bb = branch_and_bound(inst, lower_bound=res.lp_bound, incumbent=res.center)
+            assert bb.certified
+            assert bb.optimum == brute_force_center(inst).optimum
+            assert bb.optimum <= res.center.objective
+
+    def test_certified_incumbent_ends_search_at_once(self):
+        inst = _seeded(5, 30, "ACGT", 2)
+        res = algorithm_c(inst)
+        assert res.exact_certified
+        bb = branch_and_bound(inst, lower_bound=res.lp_bound, incumbent=res.center)
+        assert bb.certified
+        assert bb.nodes_explored == 0
+        assert bb.center == res.center
+
+    def test_worse_incumbent_is_ignored(self):
+        inst = _seeded(4, 10, "01", 99)
+        plain = branch_and_bound(inst)
+        # The complement of string 0 is at distance n from it, which no
+        # input string exceeds.
+        worst = objective(inst.strings[0].translate(str.maketrans("01", "10")), inst)
+        assert worst.objective == inst.n
+        assert min(objective(s, inst).objective for s in inst.strings) < inst.n
+        seeded = branch_and_bound(inst, incumbent=worst)
+        assert seeded == plain
 
     def test_timeout_returns_uncertified_incumbent(self):
         inst = _seeded(8, 40, "ACGT", 3)

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from closest_string import (
     Alphabet,
     GeneratorConfig,
+    LpModel,
     LpSolution,
     brute_force_center,
     build_csp_lp,
@@ -41,6 +42,12 @@ def test_model_rejects_out_of_range_position():
     inst = validate_instance(["00", "11"])
     with pytest.raises(ValueError):
         build_csp_lp(inst, {5: "0"})
+
+
+def test_model_rejects_duplicate_position():
+    inst = validate_instance(["00", "11"])
+    with pytest.raises(ValueError, match="fixed more than once"):
+        LpModel(instance=inst, fixed=((0, "0"), (0, "1")))
 
 
 def test_solve_symmetric_midpoint():
@@ -156,44 +163,92 @@ def test_pinned_respected_in_solution():
     assert np.array_equal(sol.x[3], [0.0, 0.0, 0.0, 1.0])
 
 
-def test_optimum_matches_external_lp_oracle():
-    # Rebuild the relaxation independently and hand it to scipy's HiGHS:
-    # the fractional optima must agree.
+def _random_pins(rng, inst):
+    """A random subset of positions, from none up to all, each pinned to a
+    random symbol."""
+    pinned = rng.permutation(inst.n)[: int(rng.integers(0, inst.n + 1))]
+    return {int(j): str(rng.choice(list(inst.alphabet.symbols))) for j in pinned}
+
+
+def _highs_value(inst, fixed):
+    """The relaxation rebuilt independently and solved by scipy's HiGHS."""
     from scipy.optimize import linprog
 
+    n, m, k = inst.n, inst.m, len(inst.alphabet)
+    nx = n * k
+    c = np.zeros(nx + 1)
+    c[nx] = 1.0
+    A_eq = np.zeros((n, nx + 1))
+    for j in range(n):
+        A_eq[j, j * k : (j + 1) * k] = 1.0
+    A_ub = np.zeros((m, nx + 1))
+    for i in range(m):
+        for j in range(n):
+            A_ub[i, j * k + inst.codes[i, j]] = -1.0
+        A_ub[i, nx] = -1.0
+    b_ub = np.full(m, -float(n))
+    bounds = [(0.0, 1.0)] * nx + [(0.0, None)]
+    for j, a in fixed.items():
+        for idx, sym in enumerate(inst.alphabet.symbols):
+            pin = 1.0 if sym == a else 0.0
+            bounds[j * k + idx] = (pin, pin)
+    ref = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq,
+                  b_eq=np.ones(n), bounds=bounds, method="highs")
+    assert ref.status == 0
+    return ref.fun
+
+
+def test_optimum_matches_external_lp_oracle():
+    # The fractional optima of our simplex and of HiGHS must agree.
     rng = np.random.default_rng(777)
     for _ in range(30):
         inst = _random_instance(rng, m_hi=6, n_hi=10)
-        # Pin a random subset of positions, from none up to all of them.
-        pinned = rng.permutation(inst.n)[: int(rng.integers(0, inst.n + 1))]
-        fixed = {
-            int(j): str(rng.choice(list(inst.alphabet.symbols))) for j in pinned
-        }
+        fixed = _random_pins(rng, inst)
         sol = solve_lp(build_csp_lp(inst, fixed))
-
-        n, m, k = inst.n, inst.m, len(inst.alphabet)
-        nx = n * k
-        c = np.zeros(nx + 1)
-        c[nx] = 1.0
-        A_eq = np.zeros((n, nx + 1))
-        for j in range(n):
-            A_eq[j, j * k : (j + 1) * k] = 1.0
-        A_ub = np.zeros((m, nx + 1))
-        for i in range(m):
-            for j in range(n):
-                A_ub[i, j * k + inst.codes[i, j]] = -1.0
-            A_ub[i, nx] = -1.0
-        b_ub = np.full(m, -float(n))
-        bounds = [(0.0, 1.0)] * nx + [(0.0, None)]
-        for j, a in fixed.items():
-            for idx, sym in enumerate(inst.alphabet.symbols):
-                pin = 1.0 if sym == a else 0.0
-                bounds[j * k + idx] = (pin, pin)
-        ref = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq,
-                      b_eq=np.ones(n), bounds=bounds, method="highs")
-        assert ref.status == 0
         assert sol.status == "optimal"
-        assert abs(sol.dvalue - ref.fun) <= 1e-7
+        assert abs(sol.dvalue - _highs_value(inst, fixed)) <= 1e-7
+
+
+def test_value_independent_of_start():
+    # Any integral start center, symbols absent from their column included,
+    # reaches the same optimum value as the default consensus start.
+    rng = np.random.default_rng(4242)
+    for _ in range(40):
+        inst = _random_instance(rng, m_hi=6, n_hi=10, alphabets=("01", "ACGT", "ABCDEFGH"))
+        fixed = _random_pins(rng, inst)
+        model = build_csp_lp(inst, fixed)
+        default = solve_lp(model)
+        ref = _highs_value(inst, fixed)
+        for _ in range(3):
+            start = rng.integers(0, len(inst.alphabet), size=inst.n)
+            sol = solve_lp(model, start=start)
+            assert sol.status == "optimal"
+            for j, a in fixed.items():
+                one_hot = np.zeros(len(inst.alphabet))
+                one_hot[inst.alphabet.index(a)] = 1.0
+                assert np.array_equal(sol.x[j], one_hot)
+            assert abs(sol.dvalue - default.dvalue) <= EPS
+            assert abs(sol.dvalue - ref) <= EPS
+
+
+def test_start_must_be_a_center_over_the_alphabet():
+    model = build_csp_lp(validate_instance(["ACG", "TTT"]))
+    for bad in ([0, 1], [0, 1, 4], [0, -1, 2], [0.0, 1.0, 2.0]):
+        with pytest.raises(ValueError, match="start must be"):
+            solve_lp(model, start=np.array(bad))
+
+
+def test_consensus_start_saves_root_pivots():
+    # The old crash basis started from input string 0; the column consensus
+    # starts closer to the optimum. Pivot counts are deterministic.
+    acgt = Alphabet.from_string("ACGT")
+    consensus = string0 = 0
+    for seed in range(10):
+        inst = generate_uniform(GeneratorConfig(m=10, n=80, alphabet=acgt, seed=seed))
+        model = build_csp_lp(inst)
+        consensus += solve_lp(model).iterations
+        string0 += solve_lp(model, start=inst.codes[0]).iterations
+    assert consensus < string0
 
 
 def test_solve_deterministic():

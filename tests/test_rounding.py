@@ -117,10 +117,10 @@ class TestAlgorithmC:
         calls = 0
         original = rounding.solve_lp
 
-        def counting(model):
+        def counting(model, **kwargs):
             nonlocal calls
             calls += 1
-            return original(model)
+            return original(model, **kwargs)
 
         rounding.solve_lp, calls = counting, 0
         try:
@@ -249,3 +249,41 @@ def test_deterministic_traces():
         assert r1.center == r2.center
         assert r1.trace == r2.trace
         assert r1.lp_bound == r2.lp_bound
+
+
+def test_solves_warm_start_and_record_their_pivots(monkeypatch):
+    # Each re-solve starts from the argmax rounding of the solve before it;
+    # each retry's first solve from the base run's root; the root from the
+    # default consensus. Every iteration records its solve's pivots.
+    inst = _seeded(6, 20, "ACGT", 8)
+    calls = []
+    original = rounding.solve_lp
+
+    def spying(model, **kwargs):
+        sol = original(model, **kwargs)
+        calls.append((kwargs.get("start"), sol))
+        return sol
+
+    monkeypatch.setattr(rounding, "solve_lp", spying)
+    b = algorithm_b(inst, 0.9)
+    assert not b.exact_certified
+    assert [it.lp_pivots for it in b.trace.iterations] == [
+        sol.iterations for _, sol in calls
+    ]
+    assert b.trace.iterations[0].lp_pivots == b.root_lp.iterations
+    assert calls[0][0] is None
+    for (_, prev), (start, _) in zip(calls, calls[1:]):
+        assert np.array_equal(start, prev.x.argmax(axis=1))
+
+    runs = []
+    round_once = rounding._round_once
+
+    def spying_run(inst, theta, preset=None, start=None):
+        runs.append(start)
+        return round_once(inst, theta, preset, start)
+
+    monkeypatch.setattr(rounding, "_round_once", spying_run)
+    algorithm_c(inst, 0.9, retries=2)
+    assert len(runs) == 3 and runs[0] is None
+    for start in runs[1:]:
+        assert np.array_equal(start, b.root_lp.x.argmax(axis=1))
