@@ -6,7 +6,9 @@ Two independent exact solvers back every quality claim. Enumeration
 walks all centers built from the characters appearing in each column
 (provably enough), with a hard node budget. Branch and bound explores
 positions depth first, cutting a subtree as soon as some string's
-partial mismatch count reaches the incumbent.
+partial mismatch count reaches the incumbent. Each result says why the
+search stopped: it exhausted the tree, hit its time limit, or reached the
+lower bound it was given.
 """
 
 from closest_string import (
@@ -36,7 +38,7 @@ print(
 bb = branch_and_bound(inst)
 print(
     f"branch&bound: optimum={bb.optimum} center={bb.center.chars} "
-    f"nodes={bb.nodes_explored} certified={bb.certified}"
+    f"nodes={bb.nodes_explored} stop={bb.stop_reason} certified={bb.certified}"
 )
 assert bf.optimum == bb.optimum
 
@@ -55,7 +57,7 @@ ceiling = lp_lower_bound(solve_lp(build_csp_lp(wide)))
 fast = branch_and_bound(wide, time_limit=2.0, lower_bound=ceiling)
 print(
     f"bounded search on the wide instance: objective={fast.optimum} "
-    f"certified={fast.certified} nodes={fast.nodes_explored}"
+    f"stop={fast.stop_reason} certified={fast.certified} nodes={fast.nodes_explored}"
 )
 
 trivial = validate_instance(["GATTACA"] * 3)

@@ -1,7 +1,9 @@
 """Command-line front end: ``gen``, ``solve``, and ``bench`` subcommands.
 
-Exit codes: 0 success, 2 usage or validation problem, 3 enumeration
-capacity exceeded, 4 LP numeric failure.
+Exit codes: 0 success, 1 internal error (an exception no other code
+covers, reported as ``error: internal: ...`` with where it was raised),
+2 usage or validation problem, 3 size limit exceeded (brute-force
+enumeration or the LP tableau), 4 LP numeric failure.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from .bench import EXACT_SOLVERS, HEURISTICS, run_bench, run_solver, rows_to_csv
@@ -25,6 +28,7 @@ from .lp import build_csp_lp, solve_lp  # noqa: F401
 from .rounding import algorithm_a, algorithm_b, algorithm_c  # noqa: F401
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_SOLVER = 4
@@ -187,6 +191,16 @@ def main(argv: list[str] | None = None) -> int:
     except (FormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # A defect, not bad input: report it and where it was raised, with
+        # no traceback.
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        print(
+            f"error: internal: {type(exc).__name__}: {exc} "
+            f"(at {Path(frame.filename).name}:{frame.lineno} in {frame.name})",
+            file=sys.stderr,
+        )
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

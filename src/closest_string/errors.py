@@ -14,11 +14,15 @@ class FormatError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """Exhaustive enumeration would exceed its node budget."""
+    """A computation would exceed its size limit; raised before allocating.
 
-    def __init__(self, required: int, limit: int):
+    ``what`` names the computation and ``unit`` what ``required`` and
+    ``limit`` count, such as ("enumeration", "centers").
+    """
+
+    def __init__(self, what: str, unit: str, required: int, limit: int):
         super().__init__(
-            f"enumeration would visit {required} centers, above the limit of {limit}"
+            f"{what} needs {required} {unit}, above the limit of {limit}"
         )
         self.required = required
         self.limit = limit

@@ -7,7 +7,10 @@ any in-column one never increases any string's distance.
 
 from __future__ import annotations
 
+import itertools
+import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,22 +22,40 @@ from .lp import build_csp_lp, solve_lp  # noqa: F401 (traced by perfbench/spans.
 PROOF_ENUMERATION = "enumeration"
 PROOF_BRANCH_AND_BOUND = "branch-and-bound"
 
-_CHUNK = 1 << 16
+# Why a search stopped: it tried every candidate, ran out of time, or its
+# incumbent reached the lower bound it was given.
+STOP_EXHAUSTED = "exhausted"
+STOP_TIMEOUT = "timeout"
+STOP_LOWER_BOUND = "lower-bound"
+STOP_REASONS = (STOP_EXHAUSTED, STOP_TIMEOUT, STOP_LOWER_BOUND)
+
+# Distance-table cells (strings x centers) per enumeration chunk.
+_CHUNK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
 class ExactResult:
-    """Outcome of a complete (or timed-out) exact search."""
+    """Outcome of a complete (or timed-out) exact search.
+
+    ``stop_reason`` is one of STOP_REASONS; the center is certified optimal
+    unless the search timed out.
+    """
 
     center: CenterString
     optimum: int
     nodes_explored: int
     proof: str
-    certified: bool
+    stop_reason: str
 
     def __post_init__(self) -> None:
         if self.optimum != self.center.objective:
             raise ValueError("optimum must equal the center's objective")
+        if self.stop_reason not in STOP_REASONS:
+            raise ValueError(f"unknown stop reason {self.stop_reason!r}")
+
+    @property
+    def certified(self) -> bool:
+        return self.stop_reason != STOP_TIMEOUT
 
 
 def brute_force_center(
@@ -46,53 +67,70 @@ def brute_force_center(
     with each column's candidates in alphabet order; the first optimum in
     that order wins, so results are deterministic. Raises CapacityError
     (naming the required node count) when the grid exceeds ``node_limit``.
+
+    Only columns with more than one symbol are enumerated. They split into
+    a low block, the longest suffix whose centers fit one chunk of about
+    2^20 / m, and a high block. The (m, low) table of every low-block
+    center's distances is built once; each high-block prefix adds its
+    distances to it and takes the max over strings, so memory stays
+    bounded by the chunk whatever the grid size.
     """
     codes = inst.codes
-    col_codes = [np.unique(col) for col in codes.T]
+    m = inst.m
+    ordered = np.sort(codes, axis=0)
+    distinct = np.ones(ordered.shape, dtype=bool)
+    distinct[1:] = ordered[1:] != ordered[:-1]
+    col_codes = [col[keep] for col, keep in zip(ordered.T, distinct.T)]
     # A column with one symbol takes it: that costs no string a mismatch and
     # adds a radix-1 digit, which leaves the enumeration order unchanged.
     varying = [j for j, cc in enumerate(col_codes) if len(cc) > 1]
     radices = [len(col_codes[j]) for j in varying]
-    total = 1
-    for r in radices:
-        total *= r
+    total = math.prod(radices)
     if total > node_limit:
-        raise CapacityError(required=total, limit=node_limit)
+        raise CapacityError("enumeration", "centers", total, node_limit)
 
-    # Strides for decoding a flat index into per-column digit choices.
-    v = len(varying)
-    strides = np.empty(v, dtype=np.int64)
-    acc = 1
-    for t in range(v - 1, -1, -1):
-        strides[t] = acc
-        acc *= radices[t]
-    radix_arr = np.array(radices, dtype=np.int64)
-    vcodes = codes[:, varying]
+    # Distances are at most len(varying).
+    dtype = np.int16 if len(varying) < np.iinfo(np.int16).max else np.int32
+    # mismatch[t][i, d]: string i differs from digit d of varying column t.
+    mismatch = [(codes[:, j, None] != col_codes[j][None, :]).astype(dtype) for j in varying]
 
-    best_obj = inst.n + 1
-    best_codes = codes[0].copy()
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        digits = (idx[:, None] // strides[None, :]) % radix_arr[None, :]
-        grid = np.empty((stop - start, v), dtype=np.int16)
-        for t, j in enumerate(varying):
-            grid[:, t] = col_codes[j][digits[:, t]]
-        obj = np.zeros(stop - start, dtype=np.int32)
-        for row in vcodes:
-            np.maximum(obj, (grid != row[None, :]).sum(axis=1), out=obj)
+    # Low block: the longest suffix of varying columns whose centers fit one
+    # chunk; each prefix over the other (high) columns is one chunk.
+    rows = max(1, _CHUNK_CELLS // m)
+    split, low_size = len(varying), 1
+    while split > 0 and low_size * radices[split - 1] <= rows:
+        split -= 1
+        low_size *= radices[split]
+    # Successive broadcast adds in C order, each prepending a more
+    # significant column: the last column varies fastest, as in the
+    # enumeration order, and the inner loop runs over the long axis.
+    table = np.zeros((m, 1), dtype=dtype)
+    for mis in reversed(mismatch[split:]):
+        table = (mis[:, :, None] + table[:, None, :]).reshape(m, -1)
+
+    best_obj, best_index = inst.n + 1, 0
+    dists = np.empty_like(table)
+    for prefix, digits in enumerate(itertools.product(*map(range, radices[:split]))):
+        offset = np.zeros(m, dtype=dtype)
+        for mis, d in zip(mismatch, digits):
+            offset += mis[:, d]
+        np.add(table, offset[:, None], out=dists)
+        obj = dists.max(axis=0)
         pos = int(np.argmin(obj))
         if int(obj[pos]) < best_obj:
-            best_obj = int(obj[pos])
-            best_codes[varying] = grid[pos]
+            best_obj, best_index = int(obj[pos]), prefix * low_size + pos
 
+    best_codes = codes[0].copy()
+    for t in range(len(varying) - 1, -1, -1):
+        best_index, d = divmod(best_index, radices[t])
+        best_codes[varying[t]] = col_codes[varying[t]][d]
     center = objective(inst.alphabet.decode(best_codes)[0], inst)
     return ExactResult(
         center=center,
         optimum=center.objective,
         nodes_explored=total,
         proof=PROOF_ENUMERATION,
-        certified=True,
+        stop_reason=STOP_EXHAUSTED,
     )
 
 
@@ -108,21 +146,26 @@ def branch_and_bound(
     the incumbent objective. The initial incumbent is the best input
     string used as a center, or ``incumbent`` (such as a rounding
     heuristic's center) when it is strictly better. The search stops
-    early once the incumbent reaches ``lower_bound``, which must be a
+    as soon as the incumbent reaches ``lower_bound``, which must be a
     valid lower bound on the optimum (such as the LP ceiling,
     ``lp_lower_bound``). On timeout the incumbent comes back with
-    ``certified=False`` rather than an error.
+    ``certified=False`` rather than an error. The search keeps its path
+    on an explicit stack, so its depth is not limited by Python's
+    recursion limit.
     """
     codes = inst.codes
-    n, m = inst.n, inst.m
+    n = inst.n
 
     # Children ordered by descending column frequency (ties: alphabet order)
-    # so good incumbents appear early.
-    order: list[list[int]] = []
-    for j in range(n):
-        vals, counts = np.unique(codes[:, j], return_counts=True)
-        ranked = sorted(zip(vals.tolist(), counts.tolist()), key=lambda t: (-t[1], t[0]))
-        order.append([v for v, _ in ranked])
+    # so good incumbents appear early; each child lists the strings it
+    # mismatches, the only counts it changes.
+    symbols: list[list[int]] = []
+    misses: list[list[list[int]]] = []
+    for col in codes.T.tolist():
+        freq = Counter(col)
+        ranked = sorted(freq, key=lambda a: (-freq[a], a))
+        symbols.append(ranked)
+        misses.append([[i for i, a in enumerate(col) if a != ch] for ch in ranked])
 
     pairwise = (codes[:, None, :] != codes[None, :, :]).sum(axis=2)
     input_objs = pairwise.max(axis=1)
@@ -134,44 +177,50 @@ def branch_and_bound(
             best = given.objective
             best_codes = inst.alphabet.encode([given.chars])[0]
 
-    cols = codes.T.tolist()
-    deadline = time.monotonic() + time_limit
-    mis = [0] * m
+    clock = time.monotonic
+    deadline = clock() + time_limit
+    width = [len(ranked) for ranked in symbols]
+    mis = [0] * inst.m  # each string's mismatches on the current path
     partial = [0] * n
+    tried = [0] * n  # children tried so far at each depth on the path
+    path_max = [0] * n  # largest mismatch count on the path down to each depth
     nodes = 0
-    timed_out = False
-
-    def descend(j: int, cur_max: int) -> None:
-        nonlocal best, best_codes, nodes, timed_out
-        if timed_out or best <= lower_bound:
-            return
-        if j == n:
-            if cur_max < best:
-                best = cur_max
-                best_codes = np.array(partial, dtype=np.int16)
-            return
-        col = cols[j]
-        for ch in order[j]:
-            nodes += 1
-            if nodes % 4096 == 0 and time.monotonic() > deadline:
-                timed_out = True
-                return
-            new_max = cur_max
-            for i in range(m):
-                if col[i] != ch:
-                    mis[i] += 1
-                    if mis[i] > new_max:
-                        new_max = mis[i]
-            if new_max < best:
-                partial[j] = ch
-                descend(j + 1, new_max)
-            for i in range(m):
-                if col[i] != ch:
-                    mis[i] -= 1
-            if timed_out:
-                return
-
-    descend(0, 0)
+    j = 0
+    stop = STOP_LOWER_BOUND if best <= lower_bound else None
+    while stop is None:
+        c = tried[j]
+        if c == width[j]:
+            if j == 0:
+                stop = STOP_EXHAUSTED
+                break
+            j -= 1
+            for i in misses[j][tried[j] - 1]:
+                mis[i] -= 1
+            continue
+        tried[j] = c + 1
+        nodes += 1
+        if not nodes & 4095 and clock() > deadline:
+            stop = STOP_TIMEOUT
+            break
+        child_misses = misses[j][c]
+        new_max = path_max[j]
+        for i in child_misses:
+            if mis[i] >= new_max:
+                new_max = mis[i] + 1
+        if new_max >= best:
+            continue
+        partial[j] = symbols[j][c]
+        if j == n - 1:
+            best = new_max
+            best_codes = np.array(partial, dtype=np.int16)
+            if best <= lower_bound:
+                stop = STOP_LOWER_BOUND
+            continue
+        for i in child_misses:
+            mis[i] += 1
+        j += 1
+        tried[j] = 0
+        path_max[j] = new_max
 
     center = objective(inst.alphabet.decode(best_codes)[0], inst)
     return ExactResult(
@@ -179,5 +228,5 @@ def branch_and_bound(
         optimum=center.objective,
         nodes_explored=nodes,
         proof=PROOF_BRANCH_AND_BOUND,
-        certified=not timed_out,
+        stop_reason=stop,
     )

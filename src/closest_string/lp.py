@@ -21,10 +21,16 @@ from typing import Mapping
 import numpy as np
 
 from .core import Alphabet, Instance
+from .errors import CapacityError
 from .simplex import OPTIMAL, solve_bounded
 
 # Feasibility / optimality tolerance used across the LP layer.
 EPSILON = 1e-6
+
+# Largest dense simplex tableau, in cells, a solve may allocate. One solve
+# peaks at about 27 bytes per cell (A, [A | b] and the tableau), so this
+# caps it near 0.9 GB.
+MAX_TABLEAU_CELLS = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -109,6 +115,8 @@ def solve_lp(
     vertex, pinned rows one-hot, is verified against the model's
     constraints within EPSILON; violations surface as a
     ``numeric-failure`` status, never as a silently wrong optimum.
+    Raises CapacityError, before allocating, when the tableau would
+    exceed MAX_TABLEAU_CELLS.
     """
     inst = model.instance
     n, m, k = model.n, model.m, model.k
@@ -118,6 +126,9 @@ def solve_lp(
         pins[position] = inst.alphabet.index(symbol)
     free = np.flatnonzero(pins < 0)
     f = free.size
+    cells = (f + m) * (f * k + m + 2)
+    if cells > MAX_TABLEAU_CELLS:
+        raise CapacityError("LP tableau", "cells", cells, MAX_TABLEAU_CELLS)
     free_codes = codes[:, free]
     nx = f * k
     d_col = nx

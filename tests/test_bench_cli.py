@@ -3,13 +3,16 @@ import json
 import numpy as np
 import pytest
 
+import closest_string.bench
 import closest_string.lp
 from closest_string import (
     Alphabet,
     GeneratorConfig,
     brute_force_center,
     generate_uniform,
+    objective,
     parse_instance,
+    serialize_instance,
 )
 from closest_string.bench import (
     make_row,
@@ -138,6 +141,40 @@ class TestSolve:
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["solve", "--alg", "c", "--in", "/no/such/file.csp"]) == 2
+
+    def test_bnb_deep_instance_reports_uncertified(self, deep_instance, tmp_path, capsys):
+        # The LP ceiling solve passes is the optimum here, and the search
+        # reaches it in some 30,000 nodes, well inside a second; a zero
+        # limit stops it at the first deadline check, after 4096 nodes.
+        f = tmp_path / "deep.csp"
+        f.write_text(serialize_instance(deep_instance))
+        code = main([
+            "solve", "--alg", "bnb", "--time-limit", "0", "--in", str(f), "--format", "json",
+        ])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["certified"] is False
+        assert report["objective"] == objective(report["center"], deep_instance).objective
+        assert report["lp_bound"] == 20 <= report["objective"]
+
+    def test_lp_capacity_exit_3(self, tmp_path, capsys, monkeypatch):
+        f = tmp_path / "inst.csp"
+        f.write_text("ACGT\nAGGT\nACGA\n")
+        monkeypatch.setattr(closest_string.lp, "MAX_TABLEAU_CELLS", 10)
+        assert main(["solve", "--alg", "c", "--in", str(f)]) == 3
+        assert capsys.readouterr().err.startswith("error: LP tableau needs ")
+
+    def test_unexpected_error_exits_1(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        f = tmp_path / "inst.csp"
+        f.write_text("ACGT\nAGGT\nACGA\n")
+        monkeypatch.setattr(closest_string.bench, "branch_and_bound", broken)
+        assert main(["solve", "--alg", "bnb", "--in", str(f)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: internal: RuntimeError: boom")
+        assert "Traceback" not in err
 
 
 class TestBenchHarness:

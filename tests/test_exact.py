@@ -1,8 +1,10 @@
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from closest_string import (
     Alphabet,
@@ -18,12 +20,49 @@ from closest_string import (
     solve_lp,
     validate_instance,
 )
+from closest_string import exact
 
 
 def _seeded(m, n, chars, seed):
     return generate_uniform(
         GeneratorConfig(m=m, n=n, alphabet=Alphabet.from_string(chars), seed=seed)
     )
+
+
+# Small instances for the property tests: m 1-8, n 1-9 over three alphabets,
+# cut to the longest column prefix whose grid a Python reference enumerates
+# quickly.
+_GRID_CAP = 3000
+
+
+@st.composite
+def small_instances(draw):
+    chars = draw(st.sampled_from(["01", "ACGT", "ABCDEFGH"]))
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 9))
+    rows = draw(st.lists(
+        st.text(alphabet=chars, min_size=n, max_size=n), min_size=m, max_size=m
+    ))
+    size, keep = 1, 0
+    for col in zip(*rows):
+        size *= len(set(col))
+        if size > _GRID_CAP:
+            break
+        keep += 1
+    return validate_instance([r[:keep] for r in rows], Alphabet.from_string(chars))
+
+
+def _reference_center(inst):
+    """First optimum of a plain enumeration over the sorted column sets."""
+    order = inst.alphabet.index
+    sets = [sorted(set(col), key=order) for col in zip(*inst.strings)]
+    best, best_obj, count = None, None, 0
+    for cand in itertools.product(*sets):
+        count += 1
+        obj = max(sum(a != b for a, b in zip(cand, s)) for s in inst.strings)
+        if best_obj is None or obj < best_obj:
+            best, best_obj = "".join(cand), obj
+    return best, best_obj, count
 
 
 class TestBruteForce:
@@ -90,8 +129,87 @@ class TestBruteForce:
         assert peak < 32 * 2**20
         assert res.optimum == branch_and_bound(inst).optimum == 8
 
+    def test_memory_bounded_for_many_strings(self):
+        # 3000 strings with 14 varying binary columns: one unchunked
+        # distance table over all 2^14 centers would take 94 MiB; chunks
+        # sized by m keep the peak small.
+        rng = np.random.default_rng(3000)
+        codes = np.zeros((3000, 20), dtype=np.int64)
+        codes[:, 3:17] = rng.integers(0, 2, size=(3000, 14))
+        inst = validate_instance(["".join("01"[c] for c in row) for row in codes])
+        tracemalloc.start()
+        try:
+            res = brute_force_center(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert res.nodes_explored == 1 << 14
+        # Independent check: every center's distance to every string as a
+        # product of 0/1 matrices, first optimum in enumeration order.
+        varying = codes[:, 3:17].astype(float)
+        centers = ((np.arange(1 << 14)[:, None] >> np.arange(13, -1, -1)) & 1).astype(float)
+        worst = np.concatenate([
+            (block @ (1 - varying).T + (1 - block) @ varying.T).max(axis=1)
+            for block in np.array_split(centers, 16)
+        ])
+        assert res.optimum == worst.min()
+        assert res.center.chars[3:17] == "".join(str(int(c)) for c in centers[worst.argmin()])
+
+    def test_stop_reason_is_exhausted(self):
+        assert brute_force_center(validate_instance(["01", "10"])).stop_reason == "exhausted"
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_instances(), st.sampled_from(["tiny", "small", "default"]))
+    def test_matches_itertools_reference(self, inst, chunk):
+        # The chunk sizes force every split between the high and low blocks:
+        # one row per chunk, a few rows, and everything in one table.
+        cells = {"tiny": 1, "small": 3 * inst.m, "default": exact._CHUNK_CELLS}[chunk]
+        center, optimum, count = _reference_center(inst)
+        with mock.patch.object(exact, "_CHUNK_CELLS", cells):
+            res = brute_force_center(inst)
+        assert res.center.chars == center
+        assert res.optimum == optimum
+        assert res.nodes_explored == count
+
 
 class TestBranchAndBound:
+    @settings(max_examples=150, deadline=None)
+    @given(small_instances(), st.data())
+    def test_certified_optimum_for_any_valid_bound(self, inst, data):
+        _, optimum, _ = _reference_center(inst)
+        bound = data.draw(st.integers(0, optimum))
+        incumbent = data.draw(st.one_of(
+            st.none(),
+            st.text(alphabet="".join(inst.alphabet.symbols), min_size=inst.n, max_size=inst.n)
+            .map(lambda chars: objective(chars, inst)),
+        ))
+        res = branch_and_bound(inst, lower_bound=bound, incumbent=incumbent)
+        assert res.certified
+        assert res.optimum == optimum
+        assert res.stop_reason == ("lower-bound" if bound == optimum else "exhausted")
+
+    def test_stop_reason_exhausted(self):
+        res = branch_and_bound(validate_instance(["00", "11"]))
+        assert res.stop_reason == "exhausted"
+        assert res.certified
+
+    def test_stop_reason_lower_bound(self):
+        inst = validate_instance(["00", "11"])
+        res = branch_and_bound(inst, lower_bound=1)
+        assert res.stop_reason == "lower-bound"
+        assert res.certified and res.optimum == 1
+        assert res.nodes_explored < branch_and_bound(inst).nodes_explored
+
+    def test_deep_instance_times_out_without_recursion(self, deep_instance):
+        inst = deep_instance
+        res = branch_and_bound(inst, time_limit=1)
+        assert res.stop_reason == "timeout"
+        assert not res.certified
+        assert len(res.center.chars) == inst.n
+        assert res.optimum == objective(res.center.chars, inst).objective
+        assert 20 <= res.optimum <= 40
+
     def test_two_opposed_strings(self):
         res = branch_and_bound(validate_instance(["00", "11"]))
         assert res.optimum == 1

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import closest_string.lp
 from closest_string import (
     Alphabet,
+    CapacityError,
     GeneratorConfig,
     LpModel,
     LpSolution,
@@ -106,6 +108,25 @@ def test_lower_bound_epsilon_guard():
         alphabet=alpha, x=base.x, dvalue=175.0, status="optimal", iterations=0
     )
     assert lp_lower_bound(integral) == 175
+
+
+def test_tableau_capacity_checked_before_solving(monkeypatch):
+    # Four free positions over ACGT and 3 strings: (4 + 3) * (4 * 4 + 3 + 2) cells.
+    model = build_csp_lp(validate_instance(["ACGTA", "AGGTC", "ACGAG"]), {0: "A"})
+    cells = 7 * 21
+
+    def no_simplex(*args, **kwargs):
+        raise AssertionError("the simplex ran")
+
+    monkeypatch.setattr(closest_string.lp, "solve_bounded", no_simplex)
+    monkeypatch.setattr(closest_string.lp, "MAX_TABLEAU_CELLS", cells - 1)
+    with pytest.raises(CapacityError) as err:
+        solve_lp(model)
+    assert err.value.required == cells and err.value.limit == cells - 1
+    assert str(err.value) == f"LP tableau needs {cells} cells, above the limit of {cells - 1}"
+    monkeypatch.setattr(closest_string.lp, "MAX_TABLEAU_CELLS", cells)
+    with pytest.raises(AssertionError, match="the simplex ran"):
+        solve_lp(model)
 
 
 def test_lower_bound_requires_optimal_status():
