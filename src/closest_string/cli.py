@@ -3,12 +3,14 @@
 Exit codes: 0 success, 1 internal error (an exception no other code
 covers, reported as ``error: internal: ...`` with where it was raised),
 2 usage or validation problem, 3 size limit exceeded (brute-force
-enumeration or the LP tableau), 4 LP numeric failure.
+enumeration or the LP tableau), 4 LP solve failure, reported as
+``error: <the check that failed>``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -19,12 +21,10 @@ from .bench import EXACT_SOLVERS, HEURISTICS, run_bench, run_solver, rows_to_csv
 from .core import Alphabet
 from .errors import CapacityError, FormatError, LpFailureError
 from .instances import GeneratorConfig, generate_uniform, parse_instance, serialize_instance
-from .lp import lp_lower_bound
-from .rounding import solve_relaxation
+from .lp import build_csp_lp, lp_lower_bound, solve_lp
 
 # Unused here, but perfbench/spans.py wraps them in this namespace.
 from .exact import branch_and_bound, brute_force_center  # noqa: F401
-from .lp import build_csp_lp, solve_lp  # noqa: F401
 from .rounding import algorithm_a, algorithm_b, algorithm_c  # noqa: F401
 
 EXIT_OK = 0
@@ -41,7 +41,9 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared after."""
     parser = argparse.ArgumentParser(
         prog="closest-string",
         description="Closest string solvers: generate, solve, benchmark.",
@@ -106,7 +108,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     # A heuristic's result carries its root LP; for an exact solver the root
     # is solved here, and bnb takes its ceiling as a lower bound.
-    root = None if args.alg in HEURISTICS else solve_relaxation(inst)
+    root = None if args.alg in HEURISTICS else solve_lp(build_csp_lp(inst))
     lp_bound = 0 if root is None else lp_lower_bound(root)
     res = run_solver(
         inst, args.alg, args.theta, args.retries, args.time_limit, args.node_limit,

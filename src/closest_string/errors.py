@@ -29,13 +29,14 @@ class CapacityError(RuntimeError):
 
 
 class LpFailureError(RuntimeError):
-    """An LP solve ended in a non-optimal status.
+    """An LP solve failed a check; the message names the check.
 
-    Raised by ``rounding.solve_relaxation``; when a rounding driver made the
-    solve, ``trace`` carries whatever rounding progress existed before it.
+    Raised by the simplex (singular starting basis, iteration cap, unbounded
+    column) and by ``lp.solve_lp`` (vertex fails verification). When a
+    rounding driver made the solve, ``trace`` carries whatever rounding
+    progress existed before it.
     """
 
-    def __init__(self, message: str, status: str, trace=None):
+    def __init__(self, message: str, trace=None):
         super().__init__(message)
-        self.status = status
         self.trace = trace

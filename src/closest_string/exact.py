@@ -29,7 +29,8 @@ STOP_TIMEOUT = "timeout"
 STOP_LOWER_BOUND = "lower-bound"
 STOP_REASONS = (STOP_EXHAUSTED, STOP_TIMEOUT, STOP_LOWER_BOUND)
 
-# Distance-table cells (strings x centers) per enumeration chunk.
+# Cells per chunk of brute force's distance table (strings x centers) and
+# of the pairwise comparison that seeds branch and bound.
 _CHUNK_CELLS = 1 << 20
 
 
@@ -167,8 +168,13 @@ def branch_and_bound(
         symbols.append(ranked)
         misses.append([[i for i, a in enumerate(col) if a != ch] for ch in ranked])
 
-    pairwise = (codes[:, None, :] != codes[None, :, :]).sum(axis=2)
-    input_objs = pairwise.max(axis=1)
+    # Each input string's distance to the farthest other, a block of rows at
+    # a time so the comparison holds at most _CHUNK_CELLS cells.
+    rows = max(1, _CHUNK_CELLS // (inst.m * n))
+    input_objs = np.concatenate([
+        (codes[i : i + rows, None, :] != codes[None, :, :]).sum(axis=2).max(axis=1)
+        for i in range(0, inst.m, rows)
+    ])
     best = int(input_objs.min())
     best_codes = codes[int(np.argmin(input_objs))].copy()
     if incumbent is not None:

@@ -21,8 +21,8 @@ from typing import Mapping
 import numpy as np
 
 from .core import Alphabet, Instance
-from .errors import CapacityError
-from .simplex import OPTIMAL, solve_bounded
+from .errors import CapacityError, LpFailureError
+from .simplex import solve_bounded
 
 # Feasibility / optimality tolerance used across the LP layer.
 EPSILON = 1e-6
@@ -74,14 +74,12 @@ class LpSolution:
     """Fractional optimum of an LpModel.
 
     ``x`` is the (n, k) matrix of position/symbol values; ``dvalue`` the
-    minimized distance variable. ``status`` is one of ``optimal``,
-    ``infeasible``, ``numeric-failure``.
+    minimized distance variable; ``iterations`` the simplex pivots taken.
     """
 
     alphabet: Alphabet
     x: np.ndarray
     dvalue: float
-    status: str
     iterations: int
 
     def value(self, symbol: str, position: int) -> float:
@@ -96,12 +94,7 @@ def build_csp_lp(
     return LpModel(instance=inst, fixed=pairs)
 
 
-def solve_lp(
-    model: LpModel,
-    *,
-    start: np.ndarray | None = None,
-    max_iterations: int | None = None,
-) -> LpSolution:
+def solve_lp(model: LpModel, *, start: np.ndarray | None = None) -> LpSolution:
     """Minimize d over the relaxation; deterministic for a given model and
     start.
 
@@ -113,10 +106,10 @@ def solve_lp(
     frequent symbol, ties to the lowest index. The optimal value does not
     depend on the start, though the optimal vertex may. The returned
     vertex, pinned rows one-hot, is verified against the model's
-    constraints within EPSILON; violations surface as a
-    ``numeric-failure`` status, never as a silently wrong optimum.
-    Raises CapacityError, before allocating, when the tableau would
-    exceed MAX_TABLEAU_CELLS.
+    constraints within EPSILON. Raises LpFailureError when the simplex
+    fails or the vertex fails verification, never returning a silently
+    wrong optimum, and CapacityError, before allocating, when the tableau
+    would exceed MAX_TABLEAU_CELLS.
     """
     inst = model.instance
     n, m, k = model.n, model.m, model.k
@@ -172,20 +165,7 @@ def solve_lp(
     basis[f] = d_col
     basis[f + 1 :] = s0 + np.array([i for i in range(m) if i != worst], dtype=np.int64)
 
-    result = solve_bounded(
-        A, b, c, lower, upper, basis, max_iterations=max_iterations
-    )
-    if result.status != OPTIMAL:
-        bad = np.full((n, k), np.nan)
-        bad.flags.writeable = False
-        return LpSolution(
-            alphabet=inst.alphabet,
-            x=bad,
-            dvalue=float("nan"),
-            status=result.status,
-            iterations=result.iterations,
-        )
-
+    result = solve_bounded(A, b, c, lower, upper, basis)
     xmat = np.zeros((n, k))
     xmat[free] = result.x[:nx].reshape(f, k)
     pinned = np.flatnonzero(pins >= 0)
@@ -198,13 +178,13 @@ def solve_lp(
         and bool(np.all(string_dists <= dvalue + EPSILON))
         and abs(dvalue - float(string_dists.max())) <= EPSILON
     )
+    if not ok:
+        raise LpFailureError(
+            f"LP: vertex fails verification after {result.iterations} pivots"
+        )
     xmat.flags.writeable = False
     return LpSolution(
-        alphabet=inst.alphabet,
-        x=xmat,
-        dvalue=dvalue,
-        status=OPTIMAL if ok else "numeric-failure",
-        iterations=result.iterations,
+        alphabet=inst.alphabet, x=xmat, dvalue=dvalue, iterations=result.iterations
     )
 
 
@@ -214,8 +194,4 @@ def lp_lower_bound(sol: LpSolution) -> int:
     Valid integer lower bound on the exact optimum: an integral center's
     distance is an integer no smaller than the relaxation's value.
     """
-    if sol.status != OPTIMAL:
-        raise ValueError(
-            f"lower bound undefined for LP status {sol.status!r}"
-        )
     return max(0, math.ceil(sol.dvalue - EPSILON))

@@ -20,6 +20,8 @@ root; the root itself starts from the column consensus.
 
 Tie-breaking is everywhere "lowest position index, then alphabet order",
 so identical inputs give identical traces.
+
+A failed LP solve raises LpFailureError carrying the trace made before it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import numpy as np
 from .core import CenterString, Instance, objective
 from .errors import LpFailureError
 from .lp import LpSolution, build_csp_lp, lp_lower_bound, solve_lp
-from .simplex import OPTIMAL
 
 BRANCH_THRESHOLD = "threshold"
 BRANCH_ARGMAX = "argmax"
@@ -113,22 +114,6 @@ def _check_theta(theta: float) -> None:
         raise ValueError(f"theta must lie in (0.5, 1.0], got {theta}")
 
 
-def solve_relaxation(
-    inst: Instance,
-    fixed: Mapping[int, str] | None = None,
-    start: np.ndarray | None = None,
-) -> LpSolution:
-    """Optimal LP relaxation of ``inst`` with ``fixed`` positions pinned,
-    warm-started from the ``start`` center (see ``solve_lp``): the one place
-    where a non-optimal LP status becomes LpFailureError."""
-    sol = solve_lp(build_csp_lp(inst, fixed), start=start)
-    if sol.status != OPTIMAL:
-        raise LpFailureError(
-            f"LP solve failed with status {sol.status!r}", status=sol.status
-        )
-    return sol
-
-
 def _argmax_pin(
     x: np.ndarray, unfixed: np.ndarray, alphabet
 ) -> tuple[int, str, float, str | None]:
@@ -184,7 +169,7 @@ def _round_once(
     t0 = time.perf_counter()
     while True:
         try:
-            sol = solve_relaxation(inst, fixed, start)
+            sol = solve_lp(build_csp_lp(inst, fixed), start=start)
         except LpFailureError as exc:
             exc.trace = trace()
             raise

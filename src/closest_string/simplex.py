@@ -13,6 +13,7 @@ Pivot selection is largest reduced cost (ties: lowest column index) with a
 permanent switch to Bland's rule once 2 * (rows + cols) consecutive
 degenerate steps accumulate, which guarantees termination. The tableau is
 kept dense: problem sizes here stay in the low thousands of columns.
+A solve that returns is optimal; any failed check raises LpFailureError.
 """
 
 from __future__ import annotations
@@ -21,14 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-NUMERIC_FAILURE = "numeric-failure"
+from .errors import LpFailureError
 
 _BASIC, _AT_LOWER, _AT_UPPER = 0, 1, 2
 
 # Feasibility slack allowed on the caller's starting point.
 _START_TOL = 1e-7
+# Smallest reduced cost that still improves the objective.
+_OPT_TOL = 1e-6
+# Smallest tableau entry treated as nonzero, and smallest bound range or
+# step treated as a move.
+_PIVOT_TOL = 1e-9
 
 
 @dataclass
@@ -36,7 +40,6 @@ class SimplexResult:
     x: np.ndarray
     objective: float
     iterations: int
-    status: str
 
 
 def solve_bounded(
@@ -47,17 +50,15 @@ def solve_bounded(
     upper: np.ndarray,
     basis: np.ndarray,
     *,
-    opt_tol: float = 1e-6,
-    pivot_tol: float = 1e-9,
     max_iterations: int | None = None,
 ) -> SimplexResult:
-    """Run the simplex loop; returns a vertex minimizer or a failure status.
+    """Run the simplex loop; returns a vertex minimizer.
 
     ``basis`` lists one column per row; setting every nonbasic variable to
     its lower bound must give basic values within [lower, upper] (this is a
     caller contract, checked up front). A wrong answer is never returned
-    silently: iteration-cap or degeneracy exhaustion comes back as
-    ``numeric-failure``.
+    silently: a singular starting basis, reaching ``max_iterations`` pivots
+    or an unbounded entering column raises LpFailureError.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -78,12 +79,7 @@ def solve_bounded(
     try:
         T = np.linalg.solve(A[:, basis], np.concatenate([A, b[:, None]], axis=1))
     except np.linalg.LinAlgError:
-        return SimplexResult(
-            x=np.full(ncols, np.nan),
-            objective=np.nan,
-            iterations=0,
-            status=NUMERIC_FAILURE,
-        )
+        raise LpFailureError("simplex: starting basis is singular") from None
 
     def basic_values() -> np.ndarray:
         vals = np.where(vstat == _AT_UPPER, upper, lower)
@@ -100,24 +96,21 @@ def solve_bounded(
     z = c - c[basis] @ T[:, :ncols]
     z[basis] = 0.0
 
-    can_move = (upper - lower) > pivot_tol
+    can_move = (upper - lower) > _PIVOT_TOL
     bland = False
     degenerate_run = 0
     bland_trigger = 2 * (nrows + ncols)
     iterations = 0
 
     while True:
-        nonbasic_lo = (vstat == _AT_LOWER) & can_move & (z < -opt_tol)
-        nonbasic_up = (vstat == _AT_UPPER) & can_move & (z > opt_tol)
+        nonbasic_lo = (vstat == _AT_LOWER) & can_move & (z < -_OPT_TOL)
+        nonbasic_up = (vstat == _AT_UPPER) & can_move & (z > _OPT_TOL)
         eligible = np.where(nonbasic_lo | nonbasic_up)[0]
         if eligible.size == 0:
             break
         if iterations >= max_iterations:
-            return SimplexResult(
-                x=np.full(ncols, np.nan),
-                objective=np.nan,
-                iterations=iterations,
-                status=NUMERIC_FAILURE,
+            raise LpFailureError(
+                f"simplex: iteration cap of {max_iterations} pivots reached"
             )
         if bland:
             enter = int(eligible[0])
@@ -129,8 +122,8 @@ def solve_bounded(
         # Ratio test: how far can the entering variable move before a basic
         # variable hits a bound, or it reaches its own opposite bound?
         delta = np.full(nrows, np.inf)
-        dec = ys > pivot_tol
-        inc = ys < -pivot_tol
+        dec = ys > _PIVOT_TOL
+        inc = ys < -_PIVOT_TOL
         if dec.any():
             delta[dec] = (xB[dec] - lower[basis[dec]]) / ys[dec]
         if inc.any():
@@ -150,18 +143,15 @@ def solve_bounded(
             continue
 
         if not np.isfinite(row_min):
-            return SimplexResult(
-                x=np.full(ncols, np.nan),
-                objective=np.nan,
-                iterations=iterations,
-                status=NUMERIC_FAILURE,
+            raise LpFailureError(
+                f"simplex: column {enter} is unbounded after {iterations} pivots"
             )
 
         ties = np.where(delta <= row_min + 1e-12)[0]
         row = int(ties[np.argmin(basis[ties])])
         leave = int(basis[row])
         step = row_min
-        if step <= pivot_tol:
+        if step <= _PIVOT_TOL:
             degenerate_run += 1
             if degenerate_run >= bland_trigger:
                 bland = True
@@ -175,15 +165,9 @@ def solve_bounded(
         vstat[enter] = _BASIC
         xB[row] = enter_bound + sigma * step
 
-        pivot = T[row, enter]
-        if abs(pivot) < pivot_tol:
-            return SimplexResult(
-                x=np.full(ncols, np.nan),
-                objective=np.nan,
-                iterations=iterations,
-                status=NUMERIC_FAILURE,
-            )
-        T[row, :] /= pivot
+        # |T[row, enter]| = |ys[row]| > _PIVOT_TOL: only such rows have a
+        # finite ratio, and row_min is finite here.
+        T[row, :] /= T[row, enter]
         colvals = T[:, enter].copy()
         colvals[row] = 0.0
         T -= np.outer(colvals, T[row, :])
@@ -201,5 +185,4 @@ def solve_bounded(
         x=x,
         objective=float(c @ x),
         iterations=iterations,
-        status=OPTIMAL,
     )

@@ -21,8 +21,8 @@ from closest_string.bench import (
     rows_to_csv,
     run_bench,
 )
-from closest_string.cli import main
-from closest_string.simplex import NUMERIC_FAILURE, SimplexResult
+from closest_string.cli import build_parser, main
+from closest_string.simplex import SimplexResult
 
 
 def _mask_ms_columns(csv_text):
@@ -131,13 +131,13 @@ class TestSolve:
     @pytest.mark.parametrize("alg", ["c", "bnb"])
     def test_lp_failure_exits_4(self, alg, tmp_path, capsys, monkeypatch):
         def failing_simplex(A, b, c, lower, upper, basis, max_iterations=None):
-            return SimplexResult(np.full(len(c), np.nan), float("nan"), 0, NUMERIC_FAILURE)
+            return SimplexResult(np.full(len(c), np.nan), float("nan"), 0)
 
         f = tmp_path / "inst.csp"
         f.write_text("ACGT\nAGGT\nACGA\n")
         monkeypatch.setattr(closest_string.lp, "solve_bounded", failing_simplex)
         assert main(["solve", "--alg", alg, "--in", str(f)]) == 4
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith("error: LP: vertex fails verification")
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["solve", "--alg", "c", "--in", "/no/such/file.csp"]) == 2
@@ -239,6 +239,9 @@ class TestBenchHarness:
 
 
 class TestBenchCli:
+    def test_parser_built_once_per_process(self):
+        assert build_parser() is build_parser()
+
     def test_csv_stable_modulo_timings(self, tmp_path):
         args = [
             "bench", "--m-list", "2,3", "--n-list", "6", "--alphabet", "01",

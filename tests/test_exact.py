@@ -189,6 +189,34 @@ class TestBranchAndBound:
         assert res.optimum == optimum
         assert res.stop_reason == ("lower-bound" if bound == optimum else "exhausted")
 
+    @settings(max_examples=150, deadline=None)
+    @given(small_instances(), st.sampled_from(["tiny", "small", "default"]))
+    def test_first_incumbent_matches_broadcast_reference(self, inst, chunk):
+        # A lower bound of n stops the search before its first node, so the
+        # result is the first incumbent: the first input string with the
+        # smallest largest distance. The chunk sizes force one row per
+        # comparison block, a few rows, and all rows at once.
+        cells = {"tiny": 1, "small": 3 * inst.n, "default": exact._CHUNK_CELLS}[chunk]
+        codes = inst.codes
+        reference = (codes[:, None, :] != codes[None, :, :]).sum(axis=2).max(axis=1)
+        with mock.patch.object(exact, "_CHUNK_CELLS", cells):
+            res = branch_and_bound(inst, lower_bound=inst.n)
+        assert res.nodes_explored == 0
+        assert res.center.chars == inst.strings[int(np.argmin(reference))]
+        assert res.optimum == reference.min()
+
+    def test_first_incumbent_memory_bounded(self):
+        # 1500 x 40 binary: an (m, m, n) comparison would take 86 MiB.
+        inst = _seeded(1500, 40, "01", 3)
+        tracemalloc.start()
+        try:
+            res = branch_and_bound(inst, time_limit=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert res.stop_reason == "timeout"
+
     def test_stop_reason_exhausted(self):
         res = branch_and_bound(validate_instance(["00", "11"]))
         assert res.stop_reason == "exhausted"

@@ -5,6 +5,7 @@ import closest_string.rounding as rounding
 from closest_string import (
     Alphabet,
     GeneratorConfig,
+    LpFailureError,
     algorithm_a,
     algorithm_b,
     algorithm_c,
@@ -287,3 +288,22 @@ def test_solves_warm_start_and_record_their_pivots(monkeypatch):
     assert len(runs) == 3 and runs[0] is None
     for start in runs[1:]:
         assert np.array_equal(start, b.root_lp.x.argmax(axis=1))
+
+
+def test_lp_failure_carries_the_trace_so_far(monkeypatch):
+    inst = _seeded(6, 20, "ACGT", 8)
+    assert algorithm_b(inst, 0.9).trace.lp_solves > 3
+    calls = []
+    original = rounding.solve_lp
+
+    def failing_third(model, **kwargs):
+        calls.append(model)
+        if len(calls) == 3:
+            raise LpFailureError("simplex: iteration cap of 0 pivots reached")
+        return original(model, **kwargs)
+
+    monkeypatch.setattr(rounding, "solve_lp", failing_third)
+    with pytest.raises(LpFailureError, match="iteration cap") as err:
+        algorithm_b(inst, 0.9)
+    assert err.value.trace.lp_solves == 2
+    assert len(calls) == 3
