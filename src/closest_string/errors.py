@@ -31,8 +31,8 @@ class CapacityError(RuntimeError):
 class LpFailureError(RuntimeError):
     """An LP solve failed a check; the message names the check.
 
-    Raised by the simplex (singular starting basis, iteration cap, unbounded
-    column) and by ``lp.solve_lp`` (vertex fails verification). When a
+    Raised by the simplex (iteration cap, unbounded column) and by
+    ``lp.solve_lp`` (vertex fails verification). When a
     rounding driver made the solve, ``trace`` carries whatever rounding
     progress existed before it.
     """

@@ -33,6 +33,10 @@ STOP_REASONS = (STOP_EXHAUSTED, STOP_TIMEOUT, STOP_LOWER_BOUND)
 # of the pairwise comparison that seeds branch and bound.
 _CHUNK_CELLS = 1 << 20
 
+# Work between two deadline checks of branch and bound, counted as one unit
+# per node plus one per string the node touches.
+_CLOCK_WORK = 4096
+
 
 @dataclass(frozen=True)
 class ExactResult:
@@ -162,19 +166,26 @@ def branch_and_bound(
     # mismatches, the only counts it changes.
     symbols: list[list[int]] = []
     misses: list[list[list[int]]] = []
-    for col in codes.T.tolist():
-        freq = Counter(col)
+    for col in codes.T:
+        freq = Counter(col.tolist())
         ranked = sorted(freq, key=lambda a: (-freq[a], a))
         symbols.append(ranked)
-        misses.append([[i for i, a in enumerate(col) if a != ch] for ch in ranked])
+        misses.append([np.flatnonzero(col != ch).tolist() for ch in ranked])
 
-    # Each input string's distance to the farthest other, a block of rows at
-    # a time so the comparison holds at most _CHUNK_CELLS cells.
-    rows = max(1, _CHUNK_CELLS // (inst.m * n))
-    input_objs = np.concatenate([
-        (codes[i : i + rows, None, :] != codes[None, :, :]).sum(axis=2).max(axis=1)
+    # Each input string's distance to the farthest other: n minus its fewest
+    # matches. Matches are summed over symbols as products of 0/1 indicator
+    # matrices (exact in float32 below 2^24), a block of rows at a time so
+    # each product holds at most _CHUNK_CELLS cells.
+    rows = max(1, _CHUNK_CELLS // inst.m)
+    dtype = np.float32 if n < 1 << 24 else np.float64
+    fewest = [
+        sum(
+            (codes[i : i + rows] == a).astype(dtype) @ (codes == a).astype(dtype).T
+            for a in np.unique(codes)
+        ).min(axis=1)
         for i in range(0, inst.m, rows)
-    ])
+    ]
+    input_objs = n - np.concatenate(fewest).astype(np.int64)
     best = int(input_objs.min())
     best_codes = codes[int(np.argmin(input_objs))].copy()
     if incumbent is not None:
@@ -191,6 +202,7 @@ def branch_and_bound(
     tried = [0] * n  # children tried so far at each depth on the path
     path_max = [0] * n  # largest mismatch count on the path down to each depth
     nodes = 0
+    work_left = _CLOCK_WORK
     j = 0
     stop = STOP_LOWER_BOUND if best <= lower_bound else None
     while stop is None:
@@ -205,10 +217,13 @@ def branch_and_bound(
             continue
         tried[j] = c + 1
         nodes += 1
-        if not nodes & 4095 and clock() > deadline:
-            stop = STOP_TIMEOUT
-            break
         child_misses = misses[j][c]
+        work_left -= 1 + len(child_misses)
+        if work_left < 0:
+            if clock() > deadline:
+                stop = STOP_TIMEOUT
+                break
+            work_left = _CLOCK_WORK
         new_max = path_max[j]
         for i in child_misses:
             if mis[i] >= new_max:

@@ -9,7 +9,8 @@ each string row's right-hand side counts it as a match or a mismatch.
 
 Every solve starts from a crash basis built around an integral start center:
 by default the column consensus, or a center the caller already has (the
-rounding drivers pass the previous solve's argmax rounding).
+rounding drivers pass the previous solve's argmax rounding). The simplex
+receives that basis's tableau, written down in closed form.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .simplex import solve_bounded
 EPSILON = 1e-6
 
 # Largest dense simplex tableau, in cells, a solve may allocate. One solve
-# peaks at about 27 bytes per cell (A, [A | b] and the tableau), so this
-# caps it near 0.9 GB.
+# peaks at about 16 bytes per cell under tracemalloc (the tableau and one
+# pivot's rank-1 update), so this caps it near 0.54 GB.
 MAX_TABLEAU_CELLS = 1 << 25
 
 
@@ -119,36 +120,18 @@ def solve_lp(model: LpModel, *, start: np.ndarray | None = None) -> LpSolution:
         pins[position] = inst.alphabet.index(symbol)
     free = np.flatnonzero(pins < 0)
     f = free.size
-    cells = (f + m) * (f * k + m + 2)
-    if cells > MAX_TABLEAU_CELLS:
-        raise CapacityError("LP tableau", "cells", cells, MAX_TABLEAU_CELLS)
-    free_codes = codes[:, free]
     nx = f * k
     d_col = nx
     s0 = nx + 1
     ncols = nx + 1 + m
-    nrows = f + m
+    cells = (f + m) * (ncols + 1)
+    if cells > MAX_TABLEAU_CELLS:
+        raise CapacityError("LP tableau", "cells", cells, MAX_TABLEAU_CELLS)
+    free_codes = codes[:, free]
+    x_cols = np.arange(f) * k + free_codes
 
-    A = np.zeros((nrows, ncols))
-    A[np.repeat(np.arange(f), k), np.arange(nx)] = 1.0
-    string_rows = f + np.repeat(np.arange(m), f)
-    x_cols = (np.arange(f) * k + free_codes).ravel()
-    A[string_rows, x_cols] = 1.0
-    A[f:, d_col] = 1.0
-    A[f + np.arange(m), s0 + np.arange(m)] = -1.0
-    # String i's row: sum of its free x values + d - slack = n - (pins it matches).
-    rhs = n - (codes == pins[None, :]).sum(axis=1)
-    b = np.concatenate([np.ones(f), rhs])
-    c = np.zeros(ncols)
-    c[d_col] = 1.0
-    lower = np.zeros(ncols)
-    upper = np.concatenate([np.ones(nx), np.full(1 + m, float(n))])
-
-    # Crash basis: the start center on the free positions is feasible with
-    # d at the worst distance, pinned mismatches included; slack of the
-    # worst row stays nonbasic at zero.
     if start is None:
-        anchor = np.bincount(x_cols, minlength=nx).reshape(f, k).argmax(axis=1)
+        anchor = np.bincount(x_cols.ravel(), minlength=nx).reshape(f, k).argmax(axis=1)
     else:
         start = np.asarray(start)
         if (
@@ -158,14 +141,34 @@ def solve_lp(model: LpModel, *, start: np.ndarray | None = None) -> LpSolution:
         ):
             raise ValueError(f"start must be {n} alphabet indices in [0, {k})")
         anchor = start[free]
-    dist = rhs - (free_codes == anchor[None, :]).sum(axis=1)
+    # Each string's distance to the start center, pinned mismatches included.
+    match = free_codes == anchor[None, :]
+    dist = n - (codes == pins[None, :]).sum(axis=1) - match.sum(axis=1)
     worst = int(np.argmax(dist))
-    basis = np.empty(nrows, dtype=np.int64)
-    basis[:f] = np.arange(f) * k + anchor
-    basis[f] = d_col
-    basis[f + 1 :] = s0 + np.array([i for i in range(m) if i != worst], dtype=np.int64)
+    order = np.concatenate([[worst], np.delete(np.arange(m), worst)])
 
-    result = solve_bounded(A, b, c, lower, upper, basis)
+    # Crash basis: the start's x on the free positions, d, and every slack
+    # but the worst string's. Its tableau T = B^-1 [A | b] keeps the
+    # assignment rows. M[i] is string i's row (free x + d - slack i = n -
+    # pins matched) minus the assignment rows where it matches the start,
+    # so its right-hand side is dist[i]. The d row is M[worst], and each
+    # other basic slack's row is M[worst] - M[i].
+    T = np.zeros((f + m, ncols + 1))
+    T[np.repeat(np.arange(f), k), np.arange(nx)] = 1.0
+    T[:f, ncols] = 1.0
+    M = T[f:]
+    M[:, :nx][np.repeat(match[order], k, axis=1)] = -1.0
+    M[np.arange(m)[:, None], x_cols[order]] += 1.0
+    M[:, d_col] = 1.0
+    M[np.arange(m), s0 + order] = -1.0
+    M[:, ncols] = dist[order]
+    np.subtract(M[0], M[1:], out=M[1:])
+    basis = np.concatenate([np.arange(f) * k + anchor, [d_col], s0 + order[1:]])
+
+    c = np.zeros(ncols)
+    c[d_col] = 1.0
+    upper = np.concatenate([np.ones(nx), np.full(1 + m, float(n))])
+    result = solve_bounded(T, c, upper, basis)
     xmat = np.zeros((n, k))
     xmat[free] = result.x[:nx].reshape(f, k)
     pinned = np.flatnonzero(pins >= 0)

@@ -1,13 +1,12 @@
-"""Dense bounded-variable primal simplex.
+"""Dense bounded-variable primal simplex on a caller-built tableau.
 
 Solves
 
     min  c . x
-    s.t. A x = b,   lower <= x <= upper
+    s.t. A x = b,   0 <= x <= upper
 
-starting from a caller-supplied basis whose basic solution is feasible.
-Nonbasic variables rest at one of their bounds; a variable whose bounds
-coincide is pinned and never enters the basis.
+given the tableau T = B^-1 [A | b] of a starting basis B whose basic
+solution is feasible. Nonbasic variables rest at 0 or at their upper bound.
 
 Pivot selection is largest reduced cost (ties: lowest column index) with a
 permanent switch to Bland's rule once 2 * (rows + cols) consecutive
@@ -30,8 +29,8 @@ _BASIC, _AT_LOWER, _AT_UPPER = 0, 1, 2
 _START_TOL = 1e-7
 # Smallest reduced cost that still improves the objective.
 _OPT_TOL = 1e-6
-# Smallest tableau entry treated as nonzero, and smallest bound range or
-# step treated as a move.
+# Smallest tableau entry treated as nonzero, and smallest step treated as
+# a move.
 _PIVOT_TOL = 1e-9
 
 
@@ -43,10 +42,8 @@ class SimplexResult:
 
 
 def solve_bounded(
-    A: np.ndarray,
-    b: np.ndarray,
+    T: np.ndarray,
     c: np.ndarray,
-    lower: np.ndarray,
     upper: np.ndarray,
     basis: np.ndarray,
     *,
@@ -54,18 +51,17 @@ def solve_bounded(
 ) -> SimplexResult:
     """Run the simplex loop; returns a vertex minimizer.
 
-    ``basis`` lists one column per row; setting every nonbasic variable to
-    its lower bound must give basic values within [lower, upper] (this is a
-    caller contract, checked up front). A wrong answer is never returned
-    silently: a singular starting basis, reaching ``max_iterations`` pivots
-    or an unbounded entering column raises LpFailureError.
+    ``T`` is the (rows, cols + 1) tableau B^-1 [A | b] of ``basis``, which
+    lists one column per row; it is pivoted in place. Its last column, the
+    basic values with every nonbasic variable at 0, must lie within
+    [0, upper] (a caller contract, checked up front). A wrong answer is
+    never returned silently: reaching ``max_iterations`` pivots or an
+    unbounded entering column raises LpFailureError.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
+    T = np.asarray(T, dtype=float)
     c = np.asarray(c, dtype=float)
-    lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    nrows, ncols = A.shape
+    nrows, ncols = T.shape[0], T.shape[1] - 1
     basis = np.asarray(basis, dtype=np.int64).copy()
     if basis.shape != (nrows,) or len(set(basis.tolist())) != nrows:
         raise ValueError("basis must name one distinct column per row")
@@ -75,36 +71,21 @@ def solve_bounded(
     vstat = np.full(ncols, _AT_LOWER, dtype=np.int8)
     vstat[basis] = _BASIC
 
-    # Tableau carries B^-1 [A | b]; column `ncols` is the transformed rhs.
-    try:
-        T = np.linalg.solve(A[:, basis], np.concatenate([A, b[:, None]], axis=1))
-    except np.linalg.LinAlgError:
-        raise LpFailureError("simplex: starting basis is singular") from None
-
-    def basic_values() -> np.ndarray:
-        vals = np.where(vstat == _AT_UPPER, upper, lower)
-        nz = np.where((vstat != _BASIC) & (vals != 0.0))[0]
-        out = T[:, ncols].copy()
-        if nz.size:
-            out -= T[:, nz] @ vals[nz]
-        return out
-
-    xB = basic_values()
-    if (xB < lower[basis] - _START_TOL).any() or (xB > upper[basis] + _START_TOL).any():
+    xB = T[:, ncols].copy()
+    if (xB < -_START_TOL).any() or (xB > upper[basis] + _START_TOL).any():
         raise ValueError("starting basis is not primal feasible")
 
     z = c - c[basis] @ T[:, :ncols]
     z[basis] = 0.0
 
-    can_move = (upper - lower) > _PIVOT_TOL
     bland = False
     degenerate_run = 0
     bland_trigger = 2 * (nrows + ncols)
     iterations = 0
 
     while True:
-        nonbasic_lo = (vstat == _AT_LOWER) & can_move & (z < -_OPT_TOL)
-        nonbasic_up = (vstat == _AT_UPPER) & can_move & (z > _OPT_TOL)
+        nonbasic_lo = (vstat == _AT_LOWER) & (z < -_OPT_TOL)
+        nonbasic_up = (vstat == _AT_UPPER) & (z > _OPT_TOL)
         eligible = np.where(nonbasic_lo | nonbasic_up)[0]
         if eligible.size == 0:
             break
@@ -124,12 +105,10 @@ def solve_bounded(
         delta = np.full(nrows, np.inf)
         dec = ys > _PIVOT_TOL
         inc = ys < -_PIVOT_TOL
-        if dec.any():
-            delta[dec] = (xB[dec] - lower[basis[dec]]) / ys[dec]
-        if inc.any():
-            delta[inc] = (upper[basis[inc]] - xB[inc]) / (-ys[inc])
+        delta[dec] = xB[dec] / ys[dec]
+        delta[inc] = (upper[basis[inc]] - xB[inc]) / (-ys[inc])
         np.maximum(delta, 0.0, out=delta)
-        flip = upper[enter] - lower[enter]
+        flip = upper[enter]
         row_min = float(delta.min()) if nrows else np.inf
 
         if flip < row_min - 1e-12:
@@ -158,7 +137,7 @@ def solve_bounded(
         else:
             degenerate_run = 0
 
-        enter_bound = lower[enter] if vstat[enter] == _AT_LOWER else upper[enter]
+        enter_bound = 0.0 if vstat[enter] == _AT_LOWER else upper[enter]
         xB -= step * ys
         vstat[leave] = _AT_LOWER if ys[row] > 0 else _AT_UPPER
         basis[row] = enter
@@ -179,8 +158,10 @@ def solve_bounded(
         z[enter] = 0.0
         iterations += 1
 
-    x = np.where(vstat == _AT_UPPER, upper, lower).astype(float)
-    x[basis] = np.clip(basic_values(), lower[basis], upper[basis])
+    at_upper = np.flatnonzero(vstat == _AT_UPPER)
+    x = np.zeros(ncols)
+    x[at_upper] = upper[at_upper]
+    x[basis] = np.clip(T[:, ncols] - T[:, at_upper] @ upper[at_upper], 0.0, upper[basis])
     return SimplexResult(
         x=x,
         objective=float(c @ x),

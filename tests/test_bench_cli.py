@@ -130,7 +130,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("alg", ["c", "bnb"])
     def test_lp_failure_exits_4(self, alg, tmp_path, capsys, monkeypatch):
-        def failing_simplex(A, b, c, lower, upper, basis, max_iterations=None):
+        def failing_simplex(T, c, upper, basis, max_iterations=None):
             return SimplexResult(np.full(len(c), np.nan), float("nan"), 0)
 
         f = tmp_path / "inst.csp"
@@ -145,7 +145,7 @@ class TestSolve:
     def test_bnb_deep_instance_reports_uncertified(self, deep_instance, tmp_path, capsys):
         # The LP ceiling solve passes is the optimum here, and the search
         # reaches it in some 30,000 nodes, well inside a second; a zero
-        # limit stops it at the first deadline check, after 4096 nodes.
+        # limit stops it at the first deadline check, within 4096 nodes.
         f = tmp_path / "deep.csp"
         f.write_text(serialize_instance(deep_instance))
         code = main([

@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 from unittest import mock
 
@@ -216,6 +217,20 @@ class TestBranchAndBound:
             tracemalloc.stop()
         assert peak < 32 * 2**20
         assert res.stop_reason == "timeout"
+
+    def test_zero_time_limit_returns_at_once_for_many_strings(self):
+        # The deadline check counts the strings each node touches, about 750
+        # here, as well as the nodes; checking every 4096 nodes whatever
+        # their cost overshot a zero limit by some 0.3 s at this size.
+        inst = _seeded(1500, 40, "01", 3)
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            res = branch_and_bound(inst, time_limit=0)
+            elapsed.append(time.perf_counter() - start)
+            assert res.stop_reason == "timeout"
+            assert res.nodes_explored < 16
+        assert min(elapsed) < 0.1
 
     def test_stop_reason_exhausted(self):
         res = branch_and_bound(validate_instance(["00", "11"]))

@@ -1,11 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import closest_string.lp
 from closest_string import (
     Alphabet,
     CapacityError,
+    EPSILON,
     GeneratorConfig,
     LpFailureError,
     LpModel,
@@ -276,3 +280,72 @@ def test_solve_deterministic():
     assert a.iterations == b.iterations
     assert a.dvalue == b.dvalue
     assert np.array_equal(a.x, b.x)
+
+
+@st.composite
+def lp_cases(draw):
+    """A small instance over 01, ACGT or ABCDEFGH, pins on any subset of
+    positions (none to all), and a start center or None."""
+    chars = draw(st.sampled_from(["01", "ACGT", "ABCDEFGH"]))
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 10))
+    rows = draw(st.lists(
+        st.text(alphabet=chars, min_size=n, max_size=n), min_size=m, max_size=m
+    ))
+    inst = validate_instance(rows, Alphabet.from_string(chars))
+    positions = draw(st.lists(st.integers(0, n - 1), unique=True))
+    fixed = {j: draw(st.sampled_from(chars)) for j in positions}
+    start = draw(st.one_of(
+        st.none(),
+        st.lists(st.integers(0, len(chars) - 1), min_size=n, max_size=n).map(np.array),
+    ))
+    return inst, fixed, start
+
+
+def _reference_tableau(inst, fixed, basis):
+    """B^-1 [A | b] by an LU solve, with A and b built entry by entry: one
+    assignment row per free position, then string i's row (its free x
+    values + d - slack i = n - the pins it matches)."""
+    n, m, k = inst.n, inst.m, len(inst.alphabet)
+    codes = inst.codes
+    pins = np.full(n, -1)
+    for j, a in fixed.items():
+        pins[j] = inst.alphabet.index(a)
+    free = np.flatnonzero(pins < 0)
+    f = free.size
+    nx = f * k
+    A = np.zeros((f + m, nx + 1 + m))
+    for p in range(f):
+        A[p, p * k : (p + 1) * k] = 1.0
+    for i in range(m):
+        for p, j in enumerate(free):
+            A[f + i, p * k + codes[i, j]] = 1.0
+        A[f + i, nx] = 1.0
+        A[f + i, nx + 1 + i] = -1.0
+    b = np.concatenate([np.ones(f), n - (codes == pins[None, :]).sum(axis=1)])
+    return np.linalg.solve(A[:, basis], np.column_stack([A, b]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lp_cases())
+def test_crash_tableau_equals_lu_reference(case):
+    inst, fixed, start = case
+    real = closest_string.lp.solve_bounded
+    seen = []
+
+    def capture(T, c, upper, basis, **kwargs):
+        seen.append((T.copy(), np.array(basis)))
+        return real(T, c, upper, basis, **kwargs)
+
+    with mock.patch.object(closest_string.lp, "solve_bounded", capture):
+        solve_lp(build_csp_lp(inst, fixed), start=start)
+    (T, basis), = seen
+    assert np.array_equal(T, _reference_tableau(inst, fixed, basis))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lp_cases())
+def test_value_matches_highs(case):
+    inst, fixed, start = case
+    sol = solve_lp(build_csp_lp(inst, fixed), start=start)
+    assert abs(sol.dvalue - _highs_value(inst, fixed)) <= EPSILON

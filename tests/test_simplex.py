@@ -7,20 +7,18 @@ from closest_string import LpFailureError
 from closest_string.simplex import solve_bounded
 
 
-def _solve_with_slack_basis(A_ub, b_ub, c, lower, upper):
-    """Convert A_ub x <= b_ub into equalities with slack columns.
-
-    Assumes lower bounds of 0 keep the all-slack basis feasible (b_ub >= 0),
-    which holds for every test below.
+def _solve_with_slack_basis(A_ub, b_ub, c, upper):
+    """Convert A_ub x <= b_ub, 0 <= x <= upper into equalities with slack
+    columns. The all-slack basis is the identity, so its tableau is simply
+    [A | b]; it is feasible because b_ub >= 0 in every test below.
     """
     A_ub = np.asarray(A_ub, dtype=float)
     m, n = A_ub.shape
-    A = np.hstack([A_ub, np.eye(m)])
-    lo = np.concatenate([lower, np.zeros(m)])
+    T = np.hstack([A_ub, np.eye(m), np.asarray(b_ub, float)[:, None]])
     hi = np.concatenate([upper, np.full(m, np.inf)])
     cc = np.concatenate([c, np.zeros(m)])
     basis = np.arange(n, n + m)
-    return solve_bounded(A, np.asarray(b_ub, float), cc, lo, hi, basis)
+    return solve_bounded(T, cc, hi, basis)
 
 
 def test_simple_box_lp():
@@ -29,7 +27,6 @@ def test_simple_box_lp():
         A_ub=[[1.0, 1.0]],
         b_ub=[1.5],
         c=[-1.0, -1.0],
-        lower=np.zeros(2),
         upper=np.ones(2),
     )
     assert_allclose(res.objective, -1.5, atol=1e-9)
@@ -41,23 +38,10 @@ def test_bound_flip_path():
         A_ub=[[1.0, 0.0]],
         b_ub=[10.0],
         c=[-1.0, 0.0],
-        lower=np.zeros(2),
         upper=np.array([2.0, 1.0]),
     )
     assert_allclose(res.x[0], 2.0, atol=1e-9)
     assert_allclose(res.objective, -2.0, atol=1e-9)
-
-
-def test_pinned_variable_never_moves():
-    res = _solve_with_slack_basis(
-        A_ub=[[1.0, 1.0]],
-        b_ub=[2.0],
-        c=[-1.0, -1.0],
-        lower=np.array([0.0, 0.25]),
-        upper=np.array([1.0, 0.25]),
-    )
-    assert_allclose(res.x[1], 0.25, atol=1e-12)
-    assert_allclose(res.x[0], 1.0, atol=1e-9)
 
 
 def test_iteration_cap_raises():
@@ -65,29 +49,16 @@ def test_iteration_cap_raises():
         A_ub=[[1.0, 1.0]],
         b_ub=[1.5],
         c=[-1.0, -1.0],
-        lower=np.zeros(2),
         upper=np.ones(2),
     )
     assert res.iterations > 0
     with pytest.raises(LpFailureError, match="iteration cap of 0 pivots"):
         solve_bounded(
-            np.hstack([[[1.0, 1.0]], np.eye(1)]),
-            np.array([1.5]),
+            np.array([[1.0, 1.0, 1.0, 1.5]]),
             np.array([-1.0, -1.0, 0.0]),
-            np.zeros(3),
             np.array([1.0, 1.0, np.inf]),
             np.array([2]),
             max_iterations=0,
-        )
-
-
-def test_singular_starting_basis_raises():
-    # Columns 0 and 1 are parallel, so they cannot form a basis.
-    with pytest.raises(LpFailureError, match="starting basis is singular"):
-        solve_bounded(
-            np.array([[1.0, 2.0, 1.0, 0.0], [2.0, 4.0, 0.0, 1.0]]),
-            np.ones(2), np.zeros(4), np.zeros(4), np.full(4, np.inf),
-            np.array([0, 1]),
         )
 
 
@@ -96,16 +67,27 @@ def test_unbounded_column_raises():
     with pytest.raises(LpFailureError, match="column 0 is unbounded after 0 pivots"):
         _solve_with_slack_basis(
             A_ub=[[-1.0]], b_ub=[1.0], c=[-1.0],
-            lower=np.zeros(1), upper=np.array([np.inf]),
+            upper=np.array([np.inf]),
         )
 
 
 def test_rejects_bad_basis():
     with pytest.raises(ValueError):
         solve_bounded(
-            np.eye(2), np.ones(2), np.zeros(2),
-            np.zeros(2), np.ones(2), np.array([0, 0]),
+            np.hstack([np.eye(2), np.ones((2, 1))]), np.zeros(2),
+            np.ones(2), np.array([0, 0]),
         )
+
+
+def test_rejects_infeasible_start():
+    # Basic values are the tableau's last column: -1 is below its bound 0,
+    # 3 above its bound 2.
+    for rhs in (-1.0, 3.0):
+        with pytest.raises(ValueError, match="not primal feasible"):
+            solve_bounded(
+                np.array([[1.0, 1.0, rhs]]), np.zeros(2),
+                np.array([2.0, 2.0]), np.array([0]),
+            )
 
 
 def test_random_boxes_match_scipy():
@@ -117,7 +99,7 @@ def test_random_boxes_match_scipy():
         b_ub = rng.integers(1, 10, size=m).astype(float)
         c = rng.integers(-5, 6, size=n).astype(float)
         upper = rng.integers(1, 4, size=n).astype(float)
-        res = _solve_with_slack_basis(A_ub, b_ub, c, np.zeros(n), upper)
+        res = _solve_with_slack_basis(A_ub, b_ub, c, upper)
         ref = linprog(
             c, A_ub=A_ub, b_ub=b_ub, bounds=list(zip(np.zeros(n), upper)),
             method="highs",
@@ -132,7 +114,7 @@ def test_deterministic_repeat():
     b_ub = rng.integers(1, 8, size=3).astype(float)
     c = rng.integers(-4, 5, size=5).astype(float)
     upper = np.full(5, 2.0)
-    first = _solve_with_slack_basis(A_ub, b_ub, c, np.zeros(5), upper)
-    second = _solve_with_slack_basis(A_ub, b_ub, c, np.zeros(5), upper)
+    first = _solve_with_slack_basis(A_ub, b_ub, c, upper)
+    second = _solve_with_slack_basis(A_ub, b_ub, c, upper)
     assert first.iterations == second.iterations
     assert np.array_equal(first.x, second.x)
