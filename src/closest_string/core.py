@@ -55,7 +55,8 @@ class Alphabet:
             ) from None
 
     def encode(self, strings: Sequence[str]) -> np.ndarray:
-        """(m, n) int16 matrix of symbol indices for m equal-length strings.
+        """(m, n) matrix of symbol indices for m equal-length strings, in
+        the smallest unsigned integer dtype that holds every index.
 
         Raises FormatError for a ragged row or a symbol outside the alphabet.
         """
@@ -67,7 +68,9 @@ class Alphabet:
         flat = np.frombuffer(
             "".join(rows).encode("utf-32-le", "surrogatepass"), dtype="<u4"
         ).reshape(len(rows), n)
-        order = np.argsort(self._points).astype(np.int16)  # type: ignore[attr-defined]
+        order = np.argsort(self._points).astype(  # type: ignore[attr-defined]
+            np.min_scalar_type(len(self.symbols) - 1)
+        )
         keys = self._points[order]  # type: ignore[attr-defined]
         pos = np.minimum(np.searchsorted(keys, flat), len(keys) - 1)
         foreign = keys[pos] != flat

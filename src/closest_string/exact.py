@@ -233,7 +233,7 @@ def branch_and_bound(
         partial[j] = symbols[j][c]
         if j == n - 1:
             best = new_max
-            best_codes = np.array(partial, dtype=np.int16)
+            best_codes = np.array(partial, dtype=codes.dtype)
             if best <= lower_bound:
                 stop = STOP_LOWER_BOUND
             continue

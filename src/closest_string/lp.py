@@ -29,8 +29,9 @@ from .simplex import solve_bounded
 EPSILON = 1e-6
 
 # Largest dense simplex tableau, in cells, a solve may allocate. One solve
-# peaks at about 16 bytes per cell under tracemalloc (the tableau and one
-# pivot's rank-1 update), so this caps it near 0.54 GB.
+# peaks at 10 to 15 bytes per cell under tracemalloc (the 8-byte tableau
+# plus the temporaries of its crash build; a pivot's update touches only a
+# few rows), so this caps it near 0.5 GB.
 MAX_TABLEAU_CELLS = 1 << 25
 
 

@@ -12,7 +12,10 @@ Three drivers share one engine:
   argmax-branch pin, the winning value (``first``) and the runner-up
   symbol (``second``). If the result is not certified optimal against the
   LP ceiling, it retries from the least confident argmax pins with the
-  runner-up symbol pre-pinned, and keeps the best center found.
+  runner-up symbol pre-pinned, and keeps the best center found. A retry
+  stops at the first solve whose ceiling reaches the best objective so
+  far, since it could then only tie or lose, and the retries stop once
+  the best center meets the root LP ceiling.
 
 Each re-solve warm-starts the simplex from the argmax rounding of the
 previous solve, and each retry's first solve from that of the base run's
@@ -141,7 +144,8 @@ def _round_once(
     theta: float | None,
     preset: dict[int, str] | None = None,
     start: np.ndarray | None = None,
-) -> RoundingResult:
+    cutoff: int | None = None,
+) -> RoundingResult | None:
     """One full rounding pass.
 
     ``theta`` None means single-pin mode (one argmax pin per solve);
@@ -149,6 +153,11 @@ def _round_once(
     the first solve and recorded in the first iteration's fix set. The
     first solve starts from ``start`` (default: the column consensus),
     every later one from the argmax rounding of the solve before it.
+
+    With a ``cutoff`` the pass returns None as soon as a solve's LP
+    ceiling reaches it. Every pin in force at a solve stays in the final
+    center, so that center's objective is at least each solve's ceiling:
+    a pass that returns None could not have ended below ``cutoff``.
     """
     n = inst.n
     alphabet = inst.alphabet
@@ -173,6 +182,8 @@ def _round_once(
         except LpFailureError as exc:
             exc.trace = trace()
             raise
+        if cutoff is not None and lp_lower_bound(sol) >= cutoff:
+            return None
         if not iterations:
             root, root_ms = sol, (time.perf_counter() - t0) * 1000.0
         fixes: list[Fix] = []
@@ -234,15 +245,15 @@ def algorithm_c(
     argmax pins (smallest ``first`` value, then lowest position) are each
     retried with the runner-up symbol pre-pinned, and the best center over
     all runs wins; ties keep the earliest run. Each retry warm-starts from
-    the argmax rounding of the base run's root LP.
+    the argmax rounding of the base run's root LP. A retry that can no
+    longer beat the best center is cut short, and once the best center
+    meets the LP ceiling no retry is started, so neither changes the
+    result.
     """
     _check_theta(theta)
     if retries < 1:
         raise ValueError(f"retries must be >= 1, got {retries}")
     base = _round_once(inst, theta=theta)
-    if base.exact_certified:
-        return base
-
     base_trace = base.trace
     candidates = sorted(
         (k for k in base_trace.first if k in base_trace.second),
@@ -251,9 +262,12 @@ def algorithm_c(
     root_start = base.root_lp.x.argmax(axis=1)
     best = base
     for k in candidates:
+        if best.exact_certified:
+            break
         retry = _round_once(
-            inst, theta=theta, preset={k: base_trace.second[k]}, start=root_start
+            inst, theta=theta, preset={k: base_trace.second[k]},
+            start=root_start, cutoff=best.center.objective,
         )
-        if retry.center.objective < best.center.objective:
+        if retry is not None and retry.center.objective < best.center.objective:
             best = replace(best, center=retry.center, trace=retry.trace)
     return best

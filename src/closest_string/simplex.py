@@ -11,7 +11,9 @@ solution is feasible. Nonbasic variables rest at 0 or at their upper bound.
 Pivot selection is largest reduced cost (ties: lowest column index) with a
 permanent switch to Bland's rule once 2 * (rows + cols) consecutive
 degenerate steps accumulate, which guarantees termination. The tableau is
-kept dense: problem sizes here stay in the low thousands of columns.
+stored dense, but a pivot reads and updates only the rows where its
+entering column is nonzero: in the closest-string LP that is one
+assignment row plus the string rows, a small share of the tableau.
 A solve that returns is optimal; any failed check raises LpFailureError.
 """
 
@@ -22,8 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LpFailureError
-
-_BASIC, _AT_LOWER, _AT_UPPER = 0, 1, 2
 
 # Feasibility slack allowed on the caller's starting point.
 _START_TOL = 1e-7
@@ -36,9 +36,17 @@ _PIVOT_TOL = 1e-9
 
 @dataclass
 class SimplexResult:
+    """A vertex minimizer and what reaching it cost: ``iterations`` counts
+    every step, ``bound_flips`` those that moved a nonbasic variable to its
+    other bound, ``degenerate_steps`` the basis changes that moved no
+    variable, and ``bland_switched`` says whether Bland's rule took over."""
+
     x: np.ndarray
     objective: float
     iterations: int
+    bound_flips: int
+    degenerate_steps: int
+    bland_switched: bool
 
 
 def solve_bounded(
@@ -68,56 +76,61 @@ def solve_bounded(
     if max_iterations is None:
         max_iterations = 25 * (nrows + ncols) + 100
 
-    vstat = np.full(ncols, _AT_LOWER, dtype=np.int8)
-    vstat[basis] = _BASIC
-
     xB = T[:, ncols].copy()
     if (xB < -_START_TOL).any() or (xB > upper[basis] + _START_TOL).any():
         raise ValueError("starting basis is not primal feasible")
 
+    # sign[j] is +1 for a nonbasic column at its lower bound, -1 at its
+    # upper bound and 0 when basic, so sign * z is negative exactly where
+    # moving the column off its bound lowers the objective.
+    sign = np.ones(ncols)
+    sign[basis] = 0.0
     z = c - c[basis] @ T[:, :ncols]
     z[basis] = 0.0
 
     bland = False
     degenerate_run = 0
     bland_trigger = 2 * (nrows + ncols)
-    iterations = 0
+    iterations = bound_flips = degenerate_steps = 0
 
     while True:
-        nonbasic_lo = (vstat == _AT_LOWER) & (z < -_OPT_TOL)
-        nonbasic_up = (vstat == _AT_UPPER) & (z > _OPT_TOL)
-        eligible = np.where(nonbasic_lo | nonbasic_up)[0]
-        if eligible.size == 0:
+        dj = sign * z
+        if bland:
+            enter = int((dj < -_OPT_TOL).argmax())
+        else:
+            enter = int(dj.argmin())
+        if not dj[enter] < -_OPT_TOL:
             break
         if iterations >= max_iterations:
             raise LpFailureError(
                 f"simplex: iteration cap of {max_iterations} pivots reached"
             )
-        if bland:
-            enter = int(eligible[0])
-        else:
-            enter = int(eligible[np.argmax(np.abs(z[eligible]))])
-        sigma = 1.0 if vstat[enter] == _AT_LOWER else -1.0
-        ys = sigma * T[:, enter]
+        sigma = sign[enter]
+        # Only the rows where the entering column is nonzero take part in
+        # the ratio test or change in the update below.
+        nz = T[:, enter].nonzero()[0]
+        ys = sigma * T[nz, enter]
+        x_nz = xB[nz]
 
         # Ratio test: how far can the entering variable move before a basic
         # variable hits a bound, or it reaches its own opposite bound?
-        delta = np.full(nrows, np.inf)
-        dec = ys > _PIVOT_TOL
-        inc = ys < -_PIVOT_TOL
-        delta[dec] = xB[dec] / ys[dec]
-        delta[inc] = (upper[basis[inc]] - xB[inc]) / (-ys[inc])
+        # A row whose |ys| is at most _PIVOT_TOL sets no limit.
+        rate = np.abs(ys)
+        room = np.where(ys > 0.0, x_nz, upper[basis[nz]] - x_nz)
+        delta = np.full(nz.size, np.inf)
+        np.divide(room, rate, out=delta, where=rate > _PIVOT_TOL)
         np.maximum(delta, 0.0, out=delta)
         flip = upper[enter]
-        row_min = float(delta.min()) if nrows else np.inf
+        row_min = float(delta.min()) if nz.size else np.inf
 
         if flip < row_min - 1e-12:
             # The entering variable reaches its other bound first: bound
             # flip, no basis change. flip is finite here (it is below
             # row_min, and an infinite flip cannot be).
-            xB -= flip * ys
-            vstat[enter] = _AT_UPPER if vstat[enter] == _AT_LOWER else _AT_LOWER
+            xB[nz] = x_nz - flip * ys
+            sign[enter] = -sigma
             iterations += 1
+            bound_flips += 1
             degenerate_run = 0
             continue
 
@@ -126,39 +139,40 @@ def solve_bounded(
                 f"simplex: column {enter} is unbounded after {iterations} pivots"
             )
 
-        ties = np.where(delta <= row_min + 1e-12)[0]
-        row = int(ties[np.argmin(basis[ties])])
+        ties = (delta <= row_min + 1e-12).nonzero()[0]
+        t = int(ties[np.argmin(basis[nz[ties]])])
+        row = int(nz[t])
         leave = int(basis[row])
         step = row_min
         if step <= _PIVOT_TOL:
+            degenerate_steps += 1
             degenerate_run += 1
             if degenerate_run >= bland_trigger:
                 bland = True
         else:
             degenerate_run = 0
 
-        enter_bound = 0.0 if vstat[enter] == _AT_LOWER else upper[enter]
-        xB -= step * ys
-        vstat[leave] = _AT_LOWER if ys[row] > 0 else _AT_UPPER
+        enter_bound = 0.0 if sigma > 0 else upper[enter]
+        xB[nz] = x_nz - step * ys
+        sign[leave] = 1.0 if ys[t] > 0 else -1.0
         basis[row] = enter
-        vstat[enter] = _BASIC
+        sign[enter] = 0.0
         xB[row] = enter_bound + sigma * step
 
-        # |T[row, enter]| = |ys[row]| > _PIVOT_TOL: only such rows have a
+        # |T[row, enter]| = |ys[t]| > _PIVOT_TOL: only such rows have a
         # finite ratio, and row_min is finite here.
         T[row, :] /= T[row, enter]
-        colvals = T[:, enter].copy()
-        colvals[row] = 0.0
-        T -= np.outer(colvals, T[row, :])
+        others = nz[nz != row]
+        T[others] -= T[others, enter, None] * T[row]
         zcoef = z[enter]
         if zcoef != 0.0:
             z -= zcoef * T[row, :ncols]
-        T[:, enter] = 0.0
+        T[others, enter] = 0.0
         T[row, enter] = 1.0
         z[enter] = 0.0
         iterations += 1
 
-    at_upper = np.flatnonzero(vstat == _AT_UPPER)
+    at_upper = np.flatnonzero(sign < 0)
     x = np.zeros(ncols)
     x[at_upper] = upper[at_upper]
     x[basis] = np.clip(T[:, ncols] - T[:, at_upper] @ upper[at_upper], 0.0, upper[basis])
@@ -166,4 +180,7 @@ def solve_bounded(
         x=x,
         objective=float(c @ x),
         iterations=iterations,
+        bound_flips=bound_flips,
+        degenerate_steps=degenerate_steps,
+        bland_switched=bland,
     )

@@ -131,7 +131,10 @@ class TestSolve:
     @pytest.mark.parametrize("alg", ["c", "bnb"])
     def test_lp_failure_exits_4(self, alg, tmp_path, capsys, monkeypatch):
         def failing_simplex(T, c, upper, basis, max_iterations=None):
-            return SimplexResult(np.full(len(c), np.nan), float("nan"), 0)
+            return SimplexResult(
+                np.full(len(c), np.nan), float("nan"), 0,
+                bound_flips=0, degenerate_steps=0, bland_switched=False,
+            )
 
         f = tmp_path / "inst.csp"
         f.write_text("ACGT\nAGGT\nACGA\n")

@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from closest_string import (
     Alphabet,
     FormatError,
+    Instance,
     hamming_distance,
     objective,
     validate_instance,
@@ -119,6 +121,25 @@ def test_encode_matches_index_loop_and_decodes_back(strings):
     assert codes.tolist() == [[alpha.index(c) for c in s] for s in strings]
     assert alpha.decode(codes) == tuple(strings)
     assert alpha.decode(codes[0]) == (strings[0],)
+
+
+def test_codes_use_the_smallest_unsigned_dtype():
+    assert validate_instance(["ACGT", "TTGA"]).codes.dtype == np.uint8
+
+
+def test_alphabet_past_int16_round_trips():
+    # 40,000 symbols need indices above 32,767, which a signed 16-bit code
+    # would wrap. Failures name no symbols: the alphabet is 40,000 long.
+    alpha = Alphabet(tuple(chr(0x100 + i) for i in range(40000)))
+    picks = [0, 5, 32767, 32768, 39999]
+    s = "".join(alpha.symbols[i] for i in picks)
+    try:
+        codes = Instance(alpha, (s, s[::-1])).codes
+    except FormatError:
+        pytest.fail("a symbol of the alphabet was rejected", pytrace=False)
+    assert codes.dtype == np.uint16
+    assert codes.tolist() == [picks, picks[::-1]]
+    assert alpha.decode(codes) == (s, s[::-1])
 
 
 def test_alphabet_rejects_duplicates_and_empty():

@@ -206,7 +206,7 @@ def _highs_value(inst, fixed):
     A_ub = np.zeros((m, nx + 1))
     for i in range(m):
         for j in range(n):
-            A_ub[i, j * k + inst.codes[i, j]] = -1.0
+            A_ub[i, j * k + int(inst.codes[i, j])] = -1.0
         A_ub[i, nx] = -1.0
     b_ub = np.full(m, -float(n))
     bounds = [(0.0, 1.0)] * nx + [(0.0, None)]
@@ -319,7 +319,7 @@ def _reference_tableau(inst, fixed, basis):
         A[p, p * k : (p + 1) * k] = 1.0
     for i in range(m):
         for p, j in enumerate(free):
-            A[f + i, p * k + codes[i, j]] = 1.0
+            A[f + i, p * k + int(codes[i, j])] = 1.0
         A[f + i, nx] = 1.0
         A[f + i, nx + 1 + i] = -1.0
     b = np.concatenate([np.ones(f), n - (codes == pins[None, :]).sum(axis=1)])

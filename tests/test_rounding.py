@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import closest_string.rounding as rounding
 from closest_string import (
@@ -13,6 +17,7 @@ from closest_string import (
     generate_uniform,
     validate_instance,
 )
+from closest_string.lp import lp_lower_bound
 from closest_string.rounding import BRANCH_ARGMAX, BRANCH_PRESET, BRANCH_THRESHOLD
 
 
@@ -279,9 +284,9 @@ def test_solves_warm_start_and_record_their_pivots(monkeypatch):
     runs = []
     round_once = rounding._round_once
 
-    def spying_run(inst, theta, preset=None, start=None):
+    def spying_run(inst, theta, preset=None, start=None, cutoff=None):
         runs.append(start)
-        return round_once(inst, theta, preset, start)
+        return round_once(inst, theta, preset, start, cutoff)
 
     monkeypatch.setattr(rounding, "_round_once", spying_run)
     algorithm_c(inst, 0.9, retries=2)
@@ -307,3 +312,79 @@ def test_lp_failure_carries_the_trace_so_far(monkeypatch):
         algorithm_b(inst, 0.9)
     assert err.value.trace.lp_solves == 2
     assert len(calls) == 3
+
+
+def _uncut_algorithm_c(inst, theta, retries):
+    """algorithm_c with every retry run to its end and no early exit: the
+    reference the cut retries must reproduce."""
+    base = rounding._round_once(inst, theta)
+    if base.exact_certified:
+        return base
+    trace = base.trace
+    candidates = sorted(
+        (k for k in trace.first if k in trace.second),
+        key=lambda k: (trace.first[k], k),
+    )[:retries]
+    start = base.root_lp.x.argmax(axis=1)
+    best = base
+    for k in candidates:
+        retry = rounding._round_once(inst, theta, {k: trace.second[k]}, start)
+        if retry.center.objective < best.center.objective:
+            best = replace(best, center=retry.center, trace=retry.trace)
+    return best
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    chars=st.sampled_from(["01", "ACGT", "ABCDEFGH"]),
+    m=st.integers(2, 10),
+    n=st.integers(2, 30),
+    seed=st.integers(0, 2**32 - 1),
+    retries=st.integers(1, 8),
+)
+# Instances where a retry improves on the base run and later retries are
+# then cut or skipped; most small instances are certified at once.
+@example(chars="ACGT", m=6, n=12, seed=1, retries=8)
+@example(chars="ABCDEFGH", m=6, n=12, seed=6, retries=8)
+def test_cut_retries_match_the_uncut_reference(chars, m, n, seed, retries):
+    inst = _seeded(m, n, chars, seed)
+    got = algorithm_c(inst, 0.9, retries)
+    want = _uncut_algorithm_c(inst, 0.9, retries)
+    assert got.center == want.center
+    assert got.trace == want.trace
+    assert [it.lp_pivots for it in got.trace.iterations] == [
+        it.lp_pivots for it in want.trace.iterations
+    ]
+    assert got.exact_certified == want.exact_certified
+
+
+def test_round_once_cutoff_returns_none_once_a_ceiling_reaches_it(monkeypatch):
+    ceilings = []
+    original = rounding.solve_lp
+
+    def spying(model, **kwargs):
+        sol = original(model, **kwargs)
+        ceilings.append(lp_lower_bound(sol))
+        return sol
+
+    monkeypatch.setattr(rounding, "solve_lp", spying)
+    rng = np.random.default_rng(23)
+    for theta in (None, 0.9, None, 0.9):
+        inst = _seeded(
+            int(rng.integers(3, 8)), int(rng.integers(6, 16)), "ACGT",
+            int(rng.integers(0, 2**32)),
+        )
+        preset = {int(rng.integers(0, inst.n)): "C"}
+        ceilings.clear()
+        full = rounding._round_once(inst, theta, preset)
+        reached = list(ceilings)
+        for cutoff in range(reached[0] - 1, full.center.objective + 2):
+            ceilings.clear()
+            cut = rounding._round_once(inst, theta, preset, cutoff=cutoff)
+            hits = [t for t, ceiling in enumerate(reached) if ceiling >= cutoff]
+            if hits:
+                assert cut is None
+                assert len(ceilings) == hits[0] + 1
+            else:
+                assert ceilings == reached
+                assert cut.center == full.center and cut.trace == full.trace

@@ -3,7 +3,15 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import linprog
 
-from closest_string import LpFailureError
+import closest_string.lp as lp
+from closest_string import (
+    Alphabet,
+    GeneratorConfig,
+    LpFailureError,
+    algorithm_a,
+    algorithm_c,
+    generate_uniform,
+)
 from closest_string.simplex import solve_bounded
 
 
@@ -118,3 +126,137 @@ def test_deterministic_repeat():
     second = _solve_with_slack_basis(A_ub, b_ub, c, upper)
     assert first.iterations == second.iterations
     assert np.array_equal(first.x, second.x)
+
+
+def _dense_reference(T, c, upper, basis):
+    """The simplex with a rank-1 update of the whole tableau per pivot and
+    boolean masks for pricing: the reference the row-sparse kernel must
+    reproduce step for step. Returns (x, iterations)."""
+    T = np.array(T, dtype=float)
+    c = np.asarray(c, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    nrows, ncols = T.shape[0], T.shape[1] - 1
+    basis = np.array(basis, dtype=np.int64)
+    lower_, upper_, basic_ = 1, 2, 0
+    vstat = np.full(ncols, lower_, dtype=np.int8)
+    vstat[basis] = basic_
+    xB = T[:, ncols].copy()
+    z = c - c[basis] @ T[:, :ncols]
+    z[basis] = 0.0
+    bland, degenerate_run, iterations = False, 0, 0
+    while True:
+        eligible = np.where(
+            ((vstat == lower_) & (z < -1e-6)) | ((vstat == upper_) & (z > 1e-6))
+        )[0]
+        if eligible.size == 0:
+            break
+        enter = int(eligible[0] if bland else eligible[np.argmax(np.abs(z[eligible]))])
+        sigma = 1.0 if vstat[enter] == lower_ else -1.0
+        ys = sigma * T[:, enter]
+        delta = np.full(nrows, np.inf)
+        dec, inc = ys > 1e-9, ys < -1e-9
+        delta[dec] = xB[dec] / ys[dec]
+        delta[inc] = (upper[basis[inc]] - xB[inc]) / (-ys[inc])
+        np.maximum(delta, 0.0, out=delta)
+        row_min = float(delta.min()) if nrows else np.inf
+        if upper[enter] < row_min - 1e-12:
+            xB -= upper[enter] * ys
+            vstat[enter] = upper_ if vstat[enter] == lower_ else lower_
+            iterations += 1
+            degenerate_run = 0
+            continue
+        ties = np.where(delta <= row_min + 1e-12)[0]
+        row = int(ties[np.argmin(basis[ties])])
+        leave = int(basis[row])
+        if row_min <= 1e-9:
+            degenerate_run += 1
+            bland = bland or degenerate_run >= 2 * (nrows + ncols)
+        else:
+            degenerate_run = 0
+        enter_bound = 0.0 if vstat[enter] == lower_ else upper[enter]
+        xB -= row_min * ys
+        vstat[leave] = lower_ if ys[row] > 0 else upper_
+        basis[row] = enter
+        vstat[enter] = basic_
+        xB[row] = enter_bound + sigma * row_min
+        T[row, :] /= T[row, enter]
+        colvals = T[:, enter].copy()
+        colvals[row] = 0.0
+        T -= np.outer(colvals, T[row, :])
+        if z[enter] != 0.0:
+            z -= z[enter] * T[row, :ncols]
+        T[:, enter] = 0.0
+        T[row, enter] = 1.0
+        z[enter] = 0.0
+        iterations += 1
+    at_upper = np.flatnonzero(vstat == upper_)
+    x = np.zeros(ncols)
+    x[at_upper] = upper[at_upper]
+    x[basis] = np.clip(T[:, ncols] - T[:, at_upper] @ upper[at_upper], 0.0, upper[basis])
+    return x, iterations
+
+
+def _assert_matches_dense_reference(T, c, upper, basis):
+    x_ref, iterations_ref = _dense_reference(T, c, upper, basis)
+    res = solve_bounded(np.array(T, dtype=float), c, upper, basis)
+    assert res.iterations == iterations_ref
+    # Bitwise equal; only the sign of a zero may differ.
+    assert (res.x + 0.0).tobytes() == (x_ref + 0.0).tobytes()
+    assert res.bound_flips + res.degenerate_steps <= res.iterations
+
+
+def test_row_sparse_kernel_matches_dense_reference_on_random_boxes():
+    rng = np.random.default_rng(99)
+    for _ in range(150):
+        m, n = int(rng.integers(1, 8)), int(rng.integers(2, 12))
+        # Sparse rows and zero right-hand sides make degenerate steps and
+        # columns that touch few rows.
+        A = rng.integers(-2, 4, size=(m, n)) * (rng.random((m, n)) < 0.5)
+        b = rng.integers(0, 6, size=m)
+        T = np.hstack([A, np.eye(m), b[:, None]]).astype(float)
+        c = np.concatenate([rng.integers(-5, 6, size=n), np.zeros(m)]).astype(float)
+        upper = np.concatenate([rng.integers(1, 4, size=n), np.full(m, np.inf)])
+        _assert_matches_dense_reference(T, c, upper.astype(float), np.arange(n, n + m))
+
+
+def test_row_sparse_kernel_matches_dense_reference_on_lp_tableaux(monkeypatch):
+    captured = []
+    kernel = lp.solve_bounded
+
+    def capturing(T, c, upper, basis):
+        captured.append((T.copy(), c, upper, basis))
+        return kernel(T, c, upper, basis)
+
+    monkeypatch.setattr(lp, "solve_bounded", capturing)
+    for alg, m, n, chars, seed in (
+        (algorithm_c, 6, 15, "ABCDEFGH", 3),
+        (algorithm_a, 8, 20, "01", 4),
+        (algorithm_c, 10, 40, "ACGT", 5),
+    ):
+        alg(generate_uniform(
+            GeneratorConfig(m=m, n=n, alphabet=Alphabet.from_string(chars), seed=seed)
+        ))
+    assert len(captured) >= 20
+    for args in captured:
+        _assert_matches_dense_reference(*args)
+
+
+def test_reports_bound_flips_degenerate_steps_and_bland_switch():
+    res = _solve_with_slack_basis(
+        A_ub=[[1.0, 0.0]], b_ub=[10.0], c=[-1.0, 0.0], upper=np.array([2.0, 1.0]),
+    )
+    assert (res.bound_flips, res.degenerate_steps, res.bland_switched) == (1, 0, False)
+
+    # Beale's example cycles under the largest-coefficient rule; after
+    # 2 * (3 + 7) degenerate steps Bland's rule takes over and ends it.
+    T = np.array([
+        [1, 0, 0, 0.25, -8, -1, 9, 0],
+        [0, 1, 0, 0.5, -12, -0.5, 3, 0],
+        [0, 0, 1, 0, 0, 1, 0, 1],
+    ])
+    c = np.array([0, 0, 0, -0.75, 20, -0.5, 6])
+    res = solve_bounded(T, c, np.full(7, np.inf), np.array([0, 1, 2]))
+    assert res.bland_switched
+    assert res.degenerate_steps >= 20
+    assert_allclose(res.objective, -1.25, atol=1e-9)
+    _assert_matches_dense_reference(T, c, np.full(7, np.inf), np.array([0, 1, 2]))
