@@ -19,9 +19,6 @@ from .core import CenterString, Instance, objective
 from .errors import CapacityError
 from .lp import build_csp_lp, solve_lp  # noqa: F401 (traced by perfbench/spans.py)
 
-PROOF_ENUMERATION = "enumeration"
-PROOF_BRANCH_AND_BOUND = "branch-and-bound"
-
 # Why a search stopped: it tried every candidate, ran out of time, or its
 # incumbent reached the lower bound it was given.
 STOP_EXHAUSTED = "exhausted"
@@ -49,7 +46,6 @@ class ExactResult:
     center: CenterString
     optimum: int
     nodes_explored: int
-    proof: str
     stop_reason: str
 
     def __post_init__(self) -> None:
@@ -134,7 +130,6 @@ def brute_force_center(
         center=center,
         optimum=center.objective,
         nodes_explored=total,
-        proof=PROOF_ENUMERATION,
         stop_reason=STOP_EXHAUSTED,
     )
 
@@ -248,6 +243,5 @@ def branch_and_bound(
         center=center,
         optimum=center.objective,
         nodes_explored=nodes,
-        proof=PROOF_BRANCH_AND_BOUND,
         stop_reason=stop,
     )

@@ -62,8 +62,14 @@ def generate_uniform(cfg: GeneratorConfig) -> Instance:
 
 
 def parse_instance(data: str | bytes) -> Instance:
-    """Parse the line-oriented instance format; errors carry line numbers."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    """Parse the line-oriented instance format; errors carry line numbers.
+
+    A leading UTF-8 byte-order mark is dropped, not read as a symbol.
+    """
+    if isinstance(data, bytes):
+        text = data.decode("utf-8-sig")
+    else:
+        text = data.removeprefix("\ufeff")
     declared: Alphabet | None = None
     rows: list[str] = []
     for lineno, rawline in enumerate(text.splitlines(), start=1):

@@ -3,9 +3,11 @@
 Variables: one x(a, j) in [0, 1] per symbol ``a`` and position ``j``
 (position-major order), plus the distance variable d. Constraints: each
 position's x values sum to one, and for each string i,
-n - sum_j x(s_i[j], j) <= d. Positions may be pinned to a symbol; a pinned
-position has no variables or row of its own, since its x values are known:
-each string row's right-hand side counts it as a match or a mismatch.
+n - sum_j x(s_i[j], j) <= d. Positions may be pinned to a symbol; the model
+checks its pins and turns them into alphabet indices once, when it is
+built. A pinned position has no variables or row of its own, since its x
+values are known: each string row's right-hand side counts it as a match
+or a mismatch, and the solution sets its row exactly one-hot.
 
 Every solve starts from a crash basis built around an integral start center:
 by default the column consensus, or a center the caller already has (the
@@ -16,7 +18,7 @@ receives that basis's tableau, written down in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -37,26 +39,26 @@ MAX_TABLEAU_CELLS = 1 << 25
 
 @dataclass(frozen=True)
 class LpModel:
-    """Relaxation of one instance with an optional set of pinned positions."""
+    """Relaxation of one instance with an optional set of pinned positions.
+
+    ``pins`` is the read-only (n,) vector of pinned alphabet indices, -1 at
+    a free position.
+    """
 
     instance: Instance
     fixed: tuple[tuple[int, str], ...]
+    pins: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = self.instance.n
-        symbols = self.instance.alphabet.symbols
-        allowed = frozenset(symbols)
-        seen: set[int] = set()
+        pins = np.full(self.instance.n, -1, dtype=np.int64)
         for position, symbol in self.fixed:
-            if not 0 <= position < n:
+            if not 0 <= position < pins.size:
                 raise ValueError(f"fixed position {position} out of range")
-            if symbol not in allowed:
-                raise ValueError(
-                    f"fixed symbol {symbol!r} not in alphabet {''.join(symbols)!r}"
-                )
-            if position in seen:
+            if pins[position] >= 0:
                 raise ValueError(f"position {position} fixed more than once")
-            seen.add(position)
+            pins[position] = self.instance.alphabet.index(symbol)
+        pins.flags.writeable = False
+        object.__setattr__(self, "pins", pins)
 
     @property
     def k(self) -> int:
@@ -116,9 +118,7 @@ def solve_lp(model: LpModel, *, start: np.ndarray | None = None) -> LpSolution:
     inst = model.instance
     n, m, k = model.n, model.m, model.k
     codes = inst.codes
-    pins = np.full(n, -1, dtype=np.int64)
-    for position, symbol in model.fixed:
-        pins[position] = inst.alphabet.index(symbol)
+    pins = model.pins
     free = np.flatnonzero(pins < 0)
     f = free.size
     nx = f * k

@@ -1,21 +1,20 @@
 """Iterative LP rounding: build an integral center by repeatedly solving
 the relaxation and permanently pinning the most confident positions.
 
-Three drivers share one engine:
+One loop serves all three drivers. After each solve it pins every free
+position whose best value is at least a threshold theta; when none is, it
+pins the single largest value over the free positions, and that argmax
+pin records its position's runner-up symbol.
 
-* ``algorithm_a``  pins a single position per LP re-solve (the largest
-  fractional value anywhere), so it performs exactly n solves.
-* ``algorithm_b``  pins, per solve, every position holding a value at or
-  above a threshold theta; when none qualifies it falls back to the single
-  argmax pin. Between 1 and n solves.
-* ``algorithm_c``  runs the threshold driver while recording, for each
-  argmax-branch pin, the winning value (``first``) and the runner-up
-  symbol (``second``). If the result is not certified optimal against the
-  LP ceiling, it retries from the least confident argmax pins with the
-  runner-up symbol pre-pinned, and keeps the best center found. A retry
-  stops at the first solve whose ceiling reaches the best objective so
-  far, since it could then only tie or lose, and the retries stop once
-  the best center meets the root LP ceiling.
+* ``algorithm_a``  is that pass with no threshold (theta = inf): one
+  argmax pin per solve, so exactly n solves.
+* ``algorithm_b``  is the threshold pass: between 1 and n solves.
+* ``algorithm_c``  runs the threshold pass. If the result is not certified
+  optimal against the LP ceiling, it retries from the least confident
+  argmax pins with their runner-up symbol pre-pinned, and keeps the best
+  center found. A retry stops at the first solve whose ceiling reaches
+  the best objective so far, since it could then only tie or lose, and
+  the retries stop once the best center meets the root LP ceiling.
 
 Each re-solve warm-starts the simplex from the argmax rounding of the
 previous solve, and each retry's first solve from that of the base run's
@@ -29,10 +28,9 @@ A failed LP solve raises LpFailureError carrying the trace made before it.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
@@ -51,12 +49,17 @@ _THETA_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class Fix:
-    """One position pinned to one symbol, with the LP value that chose it."""
+    """One position pinned to one symbol, with the LP value that chose it.
+
+    An argmax pin also names the runner-up symbol of its position (None for
+    a one-symbol alphabet): ``algorithm_c`` retries with it.
+    """
 
     position: int
     symbol: str
     value: float
     branch: str
+    runner_up: str | None = None
 
 
 @dataclass(frozen=True)
@@ -71,16 +74,9 @@ class RoundingIteration:
 
 @dataclass(frozen=True)
 class RoundingTrace:
-    """Per-run record: every position appears in exactly one fix set.
-
-    ``first`` maps argmax-pinned positions to the fractional value of the
-    chosen symbol at pin time; ``second`` maps them to the runner-up
-    symbol. Threshold pins are confident and are not recorded there.
-    """
+    """Per-run record: every position appears in exactly one fix set."""
 
     iterations: tuple[RoundingIteration, ...]
-    first: Mapping[int, float]
-    second: Mapping[int, str]
 
     @property
     def lp_solves(self) -> int:
@@ -117,115 +113,78 @@ def _check_theta(theta: float) -> None:
         raise ValueError(f"theta must lie in (0.5, 1.0], got {theta}")
 
 
-def _argmax_pin(
-    x: np.ndarray, unfixed: np.ndarray, alphabet
-) -> tuple[int, str, float, str | None]:
-    """Largest fractional value over unfixed positions.
-
-    Returns (position, symbol, value, runner_up). Flat argmax over the
-    position-major matrix realizes the lowest-position-then-alphabet tie
-    order. ``runner_up`` is None for one-symbol alphabets.
-    """
-    masked = np.where(unfixed[:, None], x, -np.inf)
-    flat = int(np.argmax(masked))
-    position, a = divmod(flat, x.shape[1])
-    value = float(x[position, a])
-    if x.shape[1] == 1:
-        runner_up = None
-    else:
-        row = x[position].copy()
-        row[a] = -np.inf
-        runner_up = alphabet.symbols[int(np.argmax(row))]
-    return position, alphabet.symbols[a], value, runner_up
-
-
 def _round_once(
     inst: Instance,
-    theta: float | None,
+    theta: float,
     preset: dict[int, str] | None = None,
     start: np.ndarray | None = None,
     cutoff: int | None = None,
 ) -> RoundingResult | None:
     """One full rounding pass.
 
-    ``theta`` None means single-pin mode (one argmax pin per solve);
-    otherwise threshold batch mode. ``preset`` positions are pinned before
-    the first solve and recorded in the first iteration's fix set. The
-    first solve starts from ``start`` (default: the column consensus),
-    every later one from the argmax rounding of the solve before it.
+    After each solve, every free position whose best value is at least
+    ``theta`` is pinned to that symbol; when none is, the single largest
+    value over the free positions is, and that argmax pin records its
+    runner-up symbol. ``theta`` = inf pins one position per solve.
+    ``preset`` positions are pinned before the first solve and recorded,
+    with value 1.0, in the first iteration's fix set. The first solve
+    starts from ``start`` (default: the column consensus), every later
+    one from the argmax rounding of the solve before it.
 
     With a ``cutoff`` the pass returns None as soon as a solve's LP
     ceiling reaches it. Every pin in force at a solve stays in the final
     center, so that center's objective is at least each solve's ceiling:
     a pass that returns None could not have ended below ``cutoff``.
     """
-    n = inst.n
-    alphabet = inst.alphabet
-    fixed: dict[int, str] = dict(preset or {})
-    unfixed = np.ones(n, dtype=bool)
-    for j in fixed:
-        unfixed[j] = False
-    preset_pending = sorted(fixed)
+    symbols = inst.alphabet.symbols
+    fixes = [Fix(j, a, 1.0, BRANCH_PRESET) for j, a in sorted((preset or {}).items())]
+    fixed = {f.position: f.symbol for f in fixes}
     iterations: list[RoundingIteration] = []
-    first: dict[int, float] = {}
-    second: dict[int, str] = {}
-
-    def trace() -> RoundingTrace:
-        return RoundingTrace(
-            tuple(iterations), MappingProxyType(first), MappingProxyType(second)
-        )
-
     t0 = time.perf_counter()
     while True:
+        model = build_csp_lp(inst, fixed)
         try:
-            sol = solve_lp(build_csp_lp(inst, fixed), start=start)
+            sol = solve_lp(model, start=start)
         except LpFailureError as exc:
-            exc.trace = trace()
+            exc.trace = RoundingTrace(tuple(iterations))
             raise
         if cutoff is not None and lp_lower_bound(sol) >= cutoff:
             return None
         if not iterations:
             root, root_ms = sol, (time.perf_counter() - t0) * 1000.0
-        fixes: list[Fix] = []
-        for j in preset_pending:
-            fixes.append(
-                Fix(j, fixed[j], float(sol.value(fixed[j], j)), BRANCH_PRESET)
-            )
-        preset_pending = []
-
-        if unfixed.any():
-            if theta is not None:
-                row_best = sol.x.max(axis=1)
-                batch = np.where(unfixed & (row_best >= theta - _THETA_SLACK))[0]
-                for j in batch:
-                    a = int(np.argmax(sol.x[j]))
-                    fixes.append(
-                        Fix(int(j), alphabet.symbols[a],
-                            float(sol.x[j, a]), BRANCH_THRESHOLD)
-                    )
-            if theta is None or not any(f.branch == BRANCH_THRESHOLD for f in fixes):
-                j, symbol, value, runner_up = _argmax_pin(sol.x, unfixed, alphabet)
-                fixes.append(Fix(j, symbol, value, BRANCH_ARGMAX))
-                first[j] = value
-                if runner_up is not None:
-                    second[j] = runner_up
-
-        for f in fixes:
-            if f.branch != BRANCH_PRESET:
-                fixed[f.position] = f.symbol
-                unfixed[f.position] = False
+        free = model.pins < 0
+        if free.any():
+            # Row-wise argmax over the free positions; pinned rows read -inf.
+            masked = np.where(free[:, None], sol.x, -np.inf)
+            best = masked.argmax(axis=1)
+            top = masked[np.arange(inst.n), best]
+            confident = np.flatnonzero(top >= theta - _THETA_SLACK)
+            for j in confident:
+                fixes.append(
+                    Fix(int(j), symbols[best[j]], float(top[j]), BRANCH_THRESHOLD)
+                )
+            if not confident.size:
+                # First maximum in position-major order: lowest position,
+                # then alphabet order.
+                j = int(np.argmax(top))
+                a = best[j]
+                masked[j, a] = -np.inf
+                runner_up = symbols[int(np.argmax(masked[j]))] if len(symbols) > 1 else None
+                fixes.append(Fix(j, symbols[a], float(top[j]), BRANCH_ARGMAX, runner_up))
+        fixed.update((f.position, f.symbol) for f in fixes)
         iterations.append(RoundingIteration(sol.dvalue, tuple(fixes), sol.iterations))
-        if not unfixed.any():
+        if len(fixed) == inst.n:
             break
+        fixes = []
         start = sol.x.argmax(axis=1)
 
-    center = objective("".join(fixed[j] for j in range(n)), inst)
-    return RoundingResult(center, trace(), root, root_ms)
+    center = objective("".join(fixed[j] for j in range(inst.n)), inst)
+    return RoundingResult(center, RoundingTrace(tuple(iterations)), root, root_ms)
 
 
 def algorithm_a(inst: Instance) -> RoundingResult:
     """Single-pin iterative rounding: exactly n LP solves, one pin each."""
-    return _round_once(inst, theta=None)
+    return _round_once(inst, theta=math.inf)
 
 
 def algorithm_b(inst: Instance, theta: float = 0.9) -> RoundingResult:
@@ -242,8 +201,8 @@ def algorithm_c(
 
     If the base run's objective already equals the LP ceiling it is
     returned as certified. Otherwise the ``retries`` least confident
-    argmax pins (smallest ``first`` value, then lowest position) are each
-    retried with the runner-up symbol pre-pinned, and the best center over
+    argmax pins (smallest value, then lowest position) are each retried
+    with their runner-up symbol pre-pinned, and the best center over
     all runs wins; ties keep the earliest run. Each retry warm-starts from
     the argmax rounding of the base run's root LP. A retry that can no
     longer beat the best center is cut short, and once the best center
@@ -254,18 +213,17 @@ def algorithm_c(
     if retries < 1:
         raise ValueError(f"retries must be >= 1, got {retries}")
     base = _round_once(inst, theta=theta)
-    base_trace = base.trace
     candidates = sorted(
-        (k for k in base_trace.first if k in base_trace.second),
-        key=lambda k: (base_trace.first[k], k),
+        (f for it in base.trace.iterations for f in it.fixes if f.runner_up is not None),
+        key=lambda f: (f.value, f.position),
     )[:retries]
     root_start = base.root_lp.x.argmax(axis=1)
     best = base
-    for k in candidates:
+    for f in candidates:
         if best.exact_certified:
             break
         retry = _round_once(
-            inst, theta=theta, preset={k: base_trace.second[k]},
+            inst, theta=theta, preset={f.position: f.runner_up},
             start=root_start, cutoff=best.center.objective,
         )
         if retry is not None and retry.center.objective < best.center.objective:

@@ -87,6 +87,12 @@ class TestSolve:
         oracle = brute_force_center(parse_instance(f.read_text()))
         assert report["objective"] == oracle.optimum
 
+    def test_byte_order_mark_file_solves(self, tmp_path, capsys):
+        f = tmp_path / "bom.csp"
+        f.write_bytes(b"\xef\xbb\xbfACGT\n")
+        assert main(["solve", "--alg", "c", "--in", str(f), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["center"] == "ACGT"
+
     def test_brute_capacity_exit_3(self, tmp_path, capsys):
         f = tmp_path / "big.csp"
         assert main([

@@ -71,7 +71,7 @@ class TestBruteForce:
         res = brute_force_center(validate_instance(["ACGT"]))
         assert res.optimum == 0
         assert res.center.chars == "ACGT"
-        assert res.certified and res.proof == "enumeration"
+        assert res.certified
 
     def test_cross_pair(self):
         # all four centers: 00 -> 1, 01 -> 1, 10 -> 1, 11 -> 1

@@ -101,6 +101,22 @@ class TestParse:
     def test_accepts_bytes(self):
         assert parse_instance(b"AC\nAG\n").m == 2
 
+    @pytest.mark.parametrize(
+        "text, strings, symbols",
+        [
+            ("alphabet: 01\n00\n11\n", ("00", "11"), ("0", "1")),
+            ("ACG\nACT\n", ("ACG", "ACT"), ("A", "C", "G", "T")),
+            ("ACGT\n", ("ACGT",), ("A", "C", "G", "T")),
+        ],
+    )
+    def test_byte_order_mark_is_not_a_symbol(self, text, strings, symbols):
+        # A header line, a multi-string file and a one-string file, saved
+        # with a BOM: as bytes and as decoded text.
+        for data in ((b"\xef\xbb\xbf" + text.encode()), "\ufeff" + text):
+            inst = parse_instance(data)
+            assert inst.strings == strings
+            assert inst.alphabet.symbols == symbols
+
 
 class TestSerialize:
     def test_round_trip_inferred(self):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from closest_string import (
     generate_uniform,
     validate_instance,
 )
-from closest_string.lp import lp_lower_bound
+from closest_string.lp import build_csp_lp, lp_lower_bound, solve_lp
 from closest_string.rounding import BRANCH_ARGMAX, BRANCH_PRESET, BRANCH_THRESHOLD
 
 
@@ -192,12 +193,12 @@ class TestAlgorithmC:
         assert found, "no retry improvement found in the sample"
 
 
-def test_first_and_second_record_argmax_pins():
-    # first[k] is the winning fractional value at pin time; second[k] the
-    # runner-up symbol; threshold pins stay unrecorded.
+def test_argmax_pins_record_their_runner_up():
+    # An argmax pin names its position's runner-up symbol; threshold pins
+    # are confident and name none.
     res = algorithm_a(validate_instance(["0", "1"]))
-    assert res.trace.first == {0: pytest.approx(0.5)}
-    assert res.trace.second == {0: "1"}
+    (fix,) = res.trace.iterations[0].fixes
+    assert (fix.value, fix.runner_up) == (pytest.approx(0.5), "1")
 
     rng = np.random.default_rng(17)
     for _ in range(10):
@@ -206,16 +207,13 @@ def test_first_and_second_record_argmax_pins():
             int(rng.integers(0, 2**32)),
         )
         res = algorithm_b(inst, 0.9)
-        argmax_fixes = {
-            f.position: f
-            for it in res.trace.iterations
-            for f in it.fixes
-            if f.branch == BRANCH_ARGMAX
-        }
-        assert set(res.trace.first) == set(argmax_fixes)
-        for j, f in argmax_fixes.items():
-            assert res.trace.first[j] == f.value
-            assert res.trace.second[j] != f.symbol
+        for it in res.trace.iterations:
+            for f in it.fixes:
+                if f.branch == BRANCH_ARGMAX:
+                    assert f.runner_up in inst.alphabet
+                    assert f.runner_up != f.symbol
+                else:
+                    assert f.runner_up is None
 
 
 def test_every_position_fixed_exactly_once():
@@ -320,15 +318,14 @@ def _uncut_algorithm_c(inst, theta, retries):
     base = rounding._round_once(inst, theta)
     if base.exact_certified:
         return base
-    trace = base.trace
     candidates = sorted(
-        (k for k in trace.first if k in trace.second),
-        key=lambda k: (trace.first[k], k),
+        (f for it in base.trace.iterations for f in it.fixes if f.runner_up is not None),
+        key=lambda f: (f.value, f.position),
     )[:retries]
     start = base.root_lp.x.argmax(axis=1)
     best = base
-    for k in candidates:
-        retry = rounding._round_once(inst, theta, {k: trace.second[k]}, start)
+    for f in candidates:
+        retry = rounding._round_once(inst, theta, {f.position: f.runner_up}, start)
         if retry.center.objective < best.center.objective:
             best = replace(best, center=retry.center, trace=retry.trace)
     return best
@@ -369,7 +366,7 @@ def test_round_once_cutoff_returns_none_once_a_ceiling_reaches_it(monkeypatch):
 
     monkeypatch.setattr(rounding, "solve_lp", spying)
     rng = np.random.default_rng(23)
-    for theta in (None, 0.9, None, 0.9):
+    for theta in (math.inf, 0.9, math.inf, 0.9):
         inst = _seeded(
             int(rng.integers(3, 8)), int(rng.integers(6, 16)), "ACGT",
             int(rng.integers(0, 2**32)),
@@ -388,3 +385,108 @@ def test_round_once_cutoff_returns_none_once_a_ceiling_reaches_it(monkeypatch):
             else:
                 assert ceilings == reached
                 assert cut.center == full.center and cut.trace == full.trace
+
+
+def test_preset_pinning_every_position_takes_one_solve():
+    inst = validate_instance(["0", "1"])
+    for theta in (math.inf, 0.9):
+        res = rounding._round_once(inst, theta, {0: "1"})
+        (it,) = res.trace.iterations
+        assert it.fixes == (rounding.Fix(0, "1", 1.0, BRANCH_PRESET),)
+        assert res.center.chars == "1"
+
+
+def _reference_argmax_pin(x, unfixed, alphabet):
+    """The single-pin rule as two modes computed it: flat argmax over the
+    unfixed rows, and the runner-up of the winning row."""
+    masked = np.where(unfixed[:, None], x, -np.inf)
+    flat = int(np.argmax(masked))
+    position, a = divmod(flat, x.shape[1])
+    value = float(x[position, a])
+    if x.shape[1] == 1:
+        runner_up = None
+    else:
+        row = x[position].copy()
+        row[a] = -np.inf
+        runner_up = alphabet.symbols[int(np.argmax(row))]
+    return position, alphabet.symbols[a], value, runner_up
+
+
+def _reference_round_once(inst, theta, preset=None):
+    """Rounding pass with a separate single-pin mode (``theta`` None) and
+    the argmax pins' values and runner-ups kept in ``first``/``second``
+    maps. Returns (center, [(dvalue, pivots, fixes)], first, second)."""
+    n = inst.n
+    alphabet = inst.alphabet
+    fixed = dict(preset or {})
+    unfixed = np.ones(n, dtype=bool)
+    for j in fixed:
+        unfixed[j] = False
+    preset_pending = sorted(fixed)
+    iterations, first, second = [], {}, {}
+    start = None
+    while True:
+        sol = solve_lp(build_csp_lp(inst, fixed), start=start)
+        fixes = []
+        for j in preset_pending:
+            fixes.append((j, fixed[j], float(sol.value(fixed[j], j)), BRANCH_PRESET))
+        preset_pending = []
+        if unfixed.any():
+            if theta is not None:
+                row_best = sol.x.max(axis=1)
+                batch = np.where(unfixed & (row_best >= theta - 1e-9))[0]
+                for j in batch:
+                    a = int(np.argmax(sol.x[j]))
+                    fixes.append(
+                        (int(j), alphabet.symbols[a], float(sol.x[j, a]), BRANCH_THRESHOLD)
+                    )
+            if theta is None or not any(f[3] == BRANCH_THRESHOLD for f in fixes):
+                j, symbol, value, runner_up = _reference_argmax_pin(sol.x, unfixed, alphabet)
+                fixes.append((j, symbol, value, BRANCH_ARGMAX))
+                first[j] = value
+                if runner_up is not None:
+                    second[j] = runner_up
+        for j, symbol, _, branch in fixes:
+            if branch != BRANCH_PRESET:
+                fixed[j] = symbol
+                unfixed[j] = False
+        iterations.append((repr(sol.dvalue), sol.iterations, fixes))
+        if not unfixed.any():
+            break
+        start = sol.x.argmax(axis=1)
+    return "".join(fixed[j] for j in range(n)), iterations, first, second
+
+
+@st.composite
+def _rounding_case(draw):
+    chars = draw(st.sampled_from(["01", "ACGT", "ABCDEFGH"]))
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 16))
+    inst = _seeded(m, n, chars, draw(st.integers(0, 2**32 - 1)))
+    theta = draw(st.sampled_from([math.inf, 0.51, 0.9, 1.0]))
+    preset = draw(
+        st.dictionaries(st.integers(0, n - 1), st.sampled_from(chars), max_size=2)
+    )
+    return inst, theta, preset
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rounding_case())
+def test_one_loop_matches_the_two_mode_reference(case):
+    inst, theta, preset = case
+    got = rounding._round_once(inst, theta, preset)
+    center, iterations, first, second = _reference_round_once(
+        inst, None if theta == math.inf else theta, preset
+    )
+    assert got.center.chars == center
+    assert [
+        (repr(it.dvalue), it.lp_pivots,
+         [(f.position, f.symbol, repr(f.value), f.branch) for f in it.fixes])
+        for it in got.trace.iterations
+    ] == [
+        (dvalue, pivots, [(j, a, repr(v), branch) for j, a, v, branch in fixes])
+        for dvalue, pivots, fixes in iterations
+    ]
+    fixes = [f for it in got.trace.iterations for f in it.fixes]
+    assert {f.position: f.value for f in fixes if f.branch == BRANCH_ARGMAX} == first
+    assert {f.position: f.runner_up for f in fixes if f.runner_up is not None} == second
