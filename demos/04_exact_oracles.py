@@ -6,9 +6,10 @@ Two independent exact solvers back every quality claim. Enumeration
 walks all centers built from the characters appearing in each column
 (provably enough), with a hard node budget. Branch and bound explores
 positions depth first, cutting a subtree as soon as some string's
-partial mismatch count reaches the incumbent. Each result says why the
-search stopped: it exhausted the tree, hit its time limit, or reached the
-lower bound it was given.
+partial mismatch count reaches the incumbent, or, given the LP's dual
+string weights, as soon as the weighted mismatches rule out beating it.
+Each result says why the search stopped: it exhausted the tree, hit its
+time limit, or reached the lower bound it was given.
 """
 
 from closest_string import (
@@ -18,6 +19,7 @@ from closest_string import (
     branch_and_bound,
     brute_force_center,
     build_csp_lp,
+    dual_bound,
     generate_uniform,
     lp_lower_bound,
     solve_lp,
@@ -51,10 +53,15 @@ try:
 except CapacityError as exc:
     print("\ncapacity guard:", exc)
 
-# Branch and bound accepts a wall-clock budget and a lower bound; given the
-# LP ceiling, it stops early once the incumbent matches it.
-ceiling = lp_lower_bound(solve_lp(build_csp_lp(wide)))
-fast = branch_and_bound(wide, time_limit=2.0, lower_bound=ceiling)
+# Branch and bound accepts a wall-clock budget, a lower bound and string
+# weights. Given the LP ceiling, it stops once the incumbent matches it;
+# given the LP's dual weights, it also cuts every subtree whose weighted
+# mismatches show it holds nothing better. dual_bound rechecks the ceiling
+# from those weights in integer arithmetic, with no LP solver.
+root = solve_lp(build_csp_lp(wide))
+ceiling = lp_lower_bound(root)
+print(f"\nLP ceiling {ceiling}; dual bound from its weights {dual_bound(wide, root.weights)}")
+fast = branch_and_bound(wide, time_limit=2.0, lower_bound=ceiling, weights=root.weights)
 print(
     f"bounded search on the wide instance: objective={fast.optimum} "
     f"stop={fast.stop_reason} certified={fast.certified} nodes={fast.nodes_explored}"

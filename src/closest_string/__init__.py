@@ -17,7 +17,7 @@ from .core import (
     validate_instance,
 )
 from .errors import CapacityError, FormatError, LpFailureError
-from .exact import ExactResult, branch_and_bound, brute_force_center
+from .exact import ExactResult, branch_and_bound, brute_force_center, dual_bound
 from .instances import (
     GeneratorConfig,
     generate_uniform,
@@ -61,6 +61,7 @@ __all__ = [
     "branch_and_bound",
     "brute_force_center",
     "build_csp_lp",
+    "dual_bound",
     "generate_uniform",
     "hamming_distance",
     "lp_lower_bound",

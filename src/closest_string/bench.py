@@ -15,6 +15,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import Alphabet, CenterString, Instance
 from .errors import CapacityError
 from .exact import ExactResult, branch_and_bound, brute_force_center
@@ -74,11 +76,13 @@ def run_solver(
     node_limit: int,
     lower_bound: int = 0,
     incumbent: CenterString | None = None,
+    weights: np.ndarray | None = None,
 ) -> RoundingResult | ExactResult:
     """Run the solver called ``name``: a rounding heuristic from HEURISTICS
     or an exact oracle from EXACT_SOLVERS, each given the options it takes.
-    Only bnb takes ``lower_bound`` and a starting ``incumbent``; brute stays
-    independent of the LP and the heuristic."""
+    Only bnb takes ``lower_bound``, a starting ``incumbent`` and the string
+    ``weights`` it prunes with; brute stays independent of the LP and the
+    heuristic."""
     if name == "a":
         return algorithm_a(inst)
     if name == "b":
@@ -89,7 +93,8 @@ def run_solver(
         return brute_force_center(inst, node_limit=node_limit)
     if name == "bnb":
         return branch_and_bound(
-            inst, time_limit=time_limit, lower_bound=lower_bound, incumbent=incumbent
+            inst, time_limit=time_limit, lower_bound=lower_bound, incumbent=incumbent,
+            weights=weights,
         )
     raise ValueError(f"unknown solver {name!r}")
 
@@ -105,8 +110,9 @@ def measure_instance(
     node_limit: int,
 ) -> InstanceRecord:
     """Heuristic run, with its root LP, and optional exact solve for one
-    instance. bnb starts from the heuristic's center and stops at its LP
-    ceiling, so a certified heuristic center ends the search at once."""
+    instance. bnb starts from the heuristic's center, prunes with its root
+    LP's dual weights and stops at its LP ceiling, so a certified heuristic
+    center ends the search at once."""
     if alg not in HEURISTICS or exact not in (*EXACT_SOLVERS, None):
         raise ValueError(f"need a heuristic and an optional exact solver: {alg!r}, {exact!r}")
     t0 = time.perf_counter()
@@ -120,7 +126,7 @@ def measure_instance(
         try:
             er = run_solver(
                 inst, exact, theta, retries, time_limit, node_limit,
-                res.lp_bound, res.center,
+                res.lp_bound, res.center, res.root_lp.weights,
             )
         except CapacityError:
             er = None

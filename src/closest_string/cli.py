@@ -107,12 +107,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
     inst = parse_instance(Path(args.infile).read_bytes())
     t0 = time.perf_counter()
     # A heuristic's result carries its root LP; for an exact solver the root
-    # is solved here, and bnb takes its ceiling as a lower bound.
+    # is solved here, and bnb takes its ceiling as a lower bound and its
+    # dual string weights to prune with.
     root = None if args.alg in HEURISTICS else solve_lp(build_csp_lp(inst))
     lp_bound = 0 if root is None else lp_lower_bound(root)
     res = run_solver(
         inst, args.alg, args.theta, args.retries, args.time_limit, args.node_limit,
-        lp_bound,
+        lp_bound, weights=None if root is None else root.weights,
     )
     if root is None:
         lp_bound, certified = res.lp_bound, res.exact_certified

@@ -1,8 +1,15 @@
-"""Exact solvers: exhaustive enumeration and a depth-first branch and bound.
+"""Exact solvers: exhaustive enumeration and a depth-first branch and bound,
+plus the weighted-consensus lower bound that branch and bound prunes with.
 
-Both restrict center characters at position j to the characters appearing
-in column j, which is lossless: swapping an out-of-column character for
-any in-column one never increases any string's distance.
+Both solvers restrict center characters at position j to the characters
+appearing in column j, which is lossless: swapping an out-of-column
+character for any in-column one never increases any string's distance.
+
+The bound: for string weights w >= 0 with total W > 0, every center c has
+max_i d(c, s_i) >= sum_i w_i d(c, s_i) / W >= L(w), where
+L(w) = sum_j (W - max_a sum_{i: s_i[j] = a} w_i) / W, since column j costs
+the weighted strings at least that much whatever c[j] is. With the LP's
+optimal duals as w (``LpSolution.weights``), L(w) is the LP value.
 """
 
 from __future__ import annotations
@@ -33,6 +40,10 @@ _CHUNK_CELLS = 1 << 20
 # Work between two deadline checks of branch and bound, counted as one unit
 # per node plus one per string the node touches.
 _CLOCK_WORK = 4096
+
+# String weights are scaled to sum to this before rounding to integers, so
+# every bound test is exact integer arithmetic.
+_WEIGHT_SCALE = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -134,27 +145,81 @@ def brute_force_center(
     )
 
 
+def _integer_weights(inst: Instance, weights: np.ndarray) -> np.ndarray:
+    """``weights`` scaled to sum to _WEIGHT_SCALE and rounded to the nearest
+    non-negative int64; all zeros when they sum to 0. Rounding costs only
+    tightness: any non-negative integers give a valid bound."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (inst.m,) or not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise ValueError(f"weights must be {inst.m} finite non-negative numbers")
+    total = w.sum()
+    if not 0.0 < total < np.inf:
+        return np.zeros(inst.m, dtype=np.int64)
+    return np.rint(w / total * _WEIGHT_SCALE).astype(np.int64)
+
+
+def _column_floors(codes: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per column, the least weight of the strings any one symbol there
+    mismatches: W minus the largest weight of strings sharing a symbol.
+    Integer (int64) and exact, one pass over the (m, n) codes per symbol
+    present."""
+    heaviest = np.zeros(codes.shape[1], dtype=np.int64)
+    for a in np.unique(codes):
+        np.maximum(heaviest, w @ (codes == a), out=heaviest)
+    return int(w.sum()) - heaviest
+
+
+def dual_bound(inst: Instance, weights: np.ndarray) -> int:
+    """Lower bound on the optimum from non-negative string weights: the
+    ceiling of the weighted-consensus bound L(w) for ``weights`` rounded to
+    integers, computed in integer arithmetic in O(mn) for a fixed alphabet.
+
+    Any weights give a valid bound, and 0 when they are all zero; with the
+    root LP's duals (``LpSolution.weights``) it equals ``lp_lower_bound``,
+    so it rechecks that bound without an LP solver.
+    """
+    w = _integer_weights(inst, weights)
+    total = int(w.sum())
+    if total == 0:
+        return 0
+    return -(-int(_column_floors(inst.codes, w).sum()) // total)
+
+
 def branch_and_bound(
     inst: Instance,
     time_limit: float = 60.0,
     lower_bound: int = 0,
     incumbent: CenterString | None = None,
+    weights: np.ndarray | None = None,
 ) -> ExactResult:
     """Depth-first search over positions with mismatch-count pruning.
 
     A node is cut as soon as some string's partial mismatch count reaches
-    the incumbent objective. The initial incumbent is the best input
+    the incumbent objective. Given string ``weights`` (such as the root
+    LP's duals, ``LpSolution.weights``), a node is also cut when the
+    weighted mismatches on its path, plus each later column's least
+    weighted mismatch, show that no center below it beats the incumbent:
+    the ``dual_bound`` test applied to the rest of the tree. That removes
+    only subtrees with no strictly better center, so the incumbents found,
+    and the result apart from ``nodes_explored``, are those of the search
+    without weights. The initial incumbent is the best input
     string used as a center, or ``incumbent`` (such as a rounding
     heuristic's center) when it is strictly better. The search stops
     as soon as the incumbent reaches ``lower_bound``, which must be a
     valid lower bound on the optimum (such as the LP ceiling,
     ``lp_lower_bound``). On timeout the incumbent comes back with
-    ``certified=False`` rather than an error. The search keeps its path
+    ``certified=False`` rather than an error; ``time_limit`` may be
+    ``inf`` but not NaN or negative (ValueError). The search keeps its path
     on an explicit stack, so its depth is not limited by Python's
     recursion limit.
     """
+    if math.isnan(time_limit) or time_limit < 0:
+        raise ValueError(
+            f"time limit must be a non-negative number of seconds, got {time_limit}"
+        )
     codes = inst.codes
     n = inst.n
+    w = np.zeros(inst.m, dtype=np.int64) if weights is None else _integer_weights(inst, weights)
 
     # Children ordered by descending column frequency (ties: alphabet order)
     # so good incumbents appear early; each child lists the strings it
@@ -166,6 +231,17 @@ def branch_and_bound(
         ranked = sorted(freq, key=lambda a: (-freq[a], a))
         symbols.append(ranked)
         misses.append([np.flatnonzero(col != ch).tolist() for ch in ranked])
+
+    # Weighted cut: a child at depth j is cut when the weight of the strings
+    # its path and itself mismatch, plus rest[j + 1] (the least any
+    # completion adds), exceeds (best - 1) * W; then every center below it
+    # has a weighted mean distance, and so a largest distance, of at least
+    # best. At depth 0 this is the dual_bound test. With W = 0, such as
+    # with no weights, it never fires.
+    total_w = int(w.sum())
+    rest = np.append(np.cumsum(_column_floors(codes, w)[::-1])[::-1], 0).tolist()
+    wlist = w.tolist()
+    child_w = [[sum(wlist[i] for i in child) for child in column] for column in misses]
 
     # Each input string's distance to the farthest other: n minus its fewest
     # matches. Matches are summed over symbols as products of 0/1 indicator
@@ -196,6 +272,8 @@ def branch_and_bound(
     partial = [0] * n
     tried = [0] * n  # children tried so far at each depth on the path
     path_max = [0] * n  # largest mismatch count on the path down to each depth
+    path_w = [0] * n  # weight of the mismatches on the path down to each depth
+    limit = (best - 1) * total_w
     nodes = 0
     work_left = _CLOCK_WORK
     j = 0
@@ -225,10 +303,14 @@ def branch_and_bound(
                 new_max = mis[i] + 1
         if new_max >= best:
             continue
+        weight = path_w[j] + child_w[j][c]
+        if weight + rest[j + 1] > limit:
+            continue
         partial[j] = symbols[j][c]
         if j == n - 1:
             best = new_max
             best_codes = np.array(partial, dtype=codes.dtype)
+            limit = (best - 1) * total_w
             if best <= lower_bound:
                 stop = STOP_LOWER_BOUND
             continue
@@ -237,6 +319,7 @@ def branch_and_bound(
         j += 1
         tried[j] = 0
         path_max[j] = new_max
+        path_w[j] = weight
 
     center = objective(inst.alphabet.decode(best_codes)[0], inst)
     return ExactResult(

@@ -13,6 +13,11 @@ Every solve starts from a crash basis built around an integral start center:
 by default the column consensus, or a center the caller already has (the
 rounding drivers pass the previous solve's argmax rounding). The simplex
 receives that basis's tableau, written down in closed form.
+
+The solution also carries the string rows' optimal duals, read off the
+simplex's final reduced costs of the slack columns. As string weights they
+give the weighted-consensus bound that ``exact.dual_bound`` rechecks and
+branch and bound prunes with.
 """
 
 from __future__ import annotations
@@ -79,12 +84,18 @@ class LpSolution:
 
     ``x`` is the (n, k) matrix of position/symbol values; ``dvalue`` the
     minimized distance variable; ``iterations`` the simplex pivots taken.
+    ``weights`` is the read-only (m,) vector of the string rows' duals, in
+    input-string order: each slack column's reduced cost, clipped at 0.
+    When d is basic (any dvalue > 0) they sum to 1 within EPSILON, and the
+    weighted-consensus bound sum_j (1 - max_a sum_{i: s_i[j] = a} w_i)
+    equals dvalue on an unpinned model.
     """
 
     alphabet: Alphabet
     x: np.ndarray
     dvalue: float
     iterations: int
+    weights: np.ndarray
 
     def value(self, symbol: str, position: int) -> float:
         return float(self.x[position, self.alphabet.index(symbol)])
@@ -187,8 +198,13 @@ def solve_lp(model: LpModel, *, start: np.ndarray | None = None) -> LpSolution:
             f"LP: vertex fails verification after {result.iterations} pivots"
         )
     xmat.flags.writeable = False
+    # String i's row holds slack column s0 + i with coefficient -1, so that
+    # column's reduced cost is the row's dual.
+    weights = np.maximum(result.reduced_costs[s0:], 0.0)
+    weights.flags.writeable = False
     return LpSolution(
-        alphabet=inst.alphabet, x=xmat, dvalue=dvalue, iterations=result.iterations
+        alphabet=inst.alphabet, x=xmat, dvalue=dvalue, iterations=result.iterations,
+        weights=weights,
     )
 
 

@@ -13,8 +13,13 @@ permanent switch to Bland's rule once 2 * (rows + cols) consecutive
 degenerate steps accumulate, which guarantees termination. The tableau is
 stored dense, but a pivot reads and updates only the rows where its
 entering column is nonzero: in the closest-string LP that is one
-assignment row plus the string rows, a small share of the tableau.
-A solve that returns is optimal; any failed check raises LpFailureError.
+assignment row plus the string rows, a small share of the tableau. At
+that size a pivot costs numpy calls, not cells, so the loop reads the
+entering column once, keeps the basic variables' upper bounds as an array
+and updates all its rows in one subtraction.
+A solve that returns is optimal, and reports the final reduced costs
+(for a slack column, its row's dual value); any failed check raises
+LpFailureError.
 """
 
 from __future__ import annotations
@@ -39,7 +44,10 @@ class SimplexResult:
     """A vertex minimizer and what reaching it cost: ``iterations`` counts
     every step, ``bound_flips`` those that moved a nonbasic variable to its
     other bound, ``degenerate_steps`` the basis changes that moved no
-    variable, and ``bland_switched`` says whether Bland's rule took over."""
+    variable, and ``bland_switched`` says whether Bland's rule took over.
+    ``reduced_costs`` is the final (cols,) vector c - c_B B^-1 A: 0 on the
+    basic columns, >= 0 at a lower bound and <= 0 at an upper bound (within
+    the optimality tolerance)."""
 
     x: np.ndarray
     objective: float
@@ -47,6 +55,7 @@ class SimplexResult:
     bound_flips: int
     degenerate_steps: int
     bland_switched: bool
+    reduced_costs: np.ndarray
 
 
 def solve_bounded(
@@ -77,7 +86,8 @@ def solve_bounded(
         max_iterations = 25 * (nrows + ncols) + 100
 
     xB = T[:, ncols].copy()
-    if (xB < -_START_TOL).any() or (xB > upper[basis] + _START_TOL).any():
+    ub = upper[basis]  # upper bounds of the basic variables, row by row
+    if (xB < -_START_TOL).any() or (xB > ub + _START_TOL).any():
         raise ValueError("starting basis is not primal feasible")
 
     # sign[j] is +1 for a nonbasic column at its lower bound, -1 at its
@@ -87,6 +97,7 @@ def solve_bounded(
     sign[basis] = 0.0
     z = c - c[basis] @ T[:, :ncols]
     z[basis] = 0.0
+    ratios = np.empty(nrows)
 
     bland = False
     degenerate_run = 0
@@ -109,19 +120,21 @@ def solve_bounded(
         # Only the rows where the entering column is nonzero take part in
         # the ratio test or change in the update below.
         nz = T[:, enter].nonzero()[0]
-        ys = sigma * T[nz, enter]
+        col = T[nz, enter]
+        ys = sigma * col
         x_nz = xB[nz]
 
         # Ratio test: how far can the entering variable move before a basic
         # variable hits a bound, or it reaches its own opposite bound?
         # A row whose |ys| is at most _PIVOT_TOL sets no limit.
         rate = np.abs(ys)
-        room = np.where(ys > 0.0, x_nz, upper[basis[nz]] - x_nz)
-        delta = np.full(nz.size, np.inf)
+        room = np.where(ys > 0.0, x_nz, ub[nz] - x_nz)
+        delta = ratios[: nz.size]
+        delta.fill(np.inf)
         np.divide(room, rate, out=delta, where=rate > _PIVOT_TOL)
         np.maximum(delta, 0.0, out=delta)
         flip = upper[enter]
-        row_min = float(delta.min()) if nz.size else np.inf
+        row_min = float(np.minimum.reduce(delta, initial=np.inf))
 
         if flip < row_min - 1e-12:
             # The entering variable reaches its other bound first: bound
@@ -134,13 +147,13 @@ def solve_bounded(
             degenerate_run = 0
             continue
 
-        if not np.isfinite(row_min):
+        if row_min == np.inf:
             raise LpFailureError(
                 f"simplex: column {enter} is unbounded after {iterations} pivots"
             )
 
         ties = (delta <= row_min + 1e-12).nonzero()[0]
-        t = int(ties[np.argmin(basis[nz[ties]])])
+        t = int(ties[0]) if ties.size == 1 else int(ties[np.argmin(basis[nz[ties]])])
         row = int(nz[t])
         leave = int(basis[row])
         step = row_min
@@ -156,26 +169,29 @@ def solve_bounded(
         xB[nz] = x_nz - step * ys
         sign[leave] = 1.0 if ys[t] > 0 else -1.0
         basis[row] = enter
+        ub[row] = upper[enter]
         sign[enter] = 0.0
         xB[row] = enter_bound + sigma * step
 
-        # |T[row, enter]| = |ys[t]| > _PIVOT_TOL: only such rows have a
-        # finite ratio, and row_min is finite here.
-        T[row, :] /= T[row, enter]
-        others = nz[nz != row]
-        T[others] -= T[others, enter, None] * T[row]
+        # |col[t]| = |ys[t]| > _PIVOT_TOL: only such rows have a finite
+        # ratio, and row_min is finite here. With the pivot entry zeroed,
+        # one subtraction updates every nz row: the pivot row loses 0 times
+        # itself, and the entering column becomes exactly the unit vector
+        # (each other entry minus itself times 1).
+        pivot = T[row]
+        pivot /= col[t]
+        col[t] = 0.0
+        T[nz] -= col[:, None] * pivot
         zcoef = z[enter]
         if zcoef != 0.0:
-            z -= zcoef * T[row, :ncols]
-        T[others, enter] = 0.0
-        T[row, enter] = 1.0
+            z -= zcoef * pivot[:ncols]
         z[enter] = 0.0
         iterations += 1
 
     at_upper = np.flatnonzero(sign < 0)
     x = np.zeros(ncols)
     x[at_upper] = upper[at_upper]
-    x[basis] = np.clip(T[:, ncols] - T[:, at_upper] @ upper[at_upper], 0.0, upper[basis])
+    x[basis] = np.clip(T[:, ncols] - T[:, at_upper] @ upper[at_upper], 0.0, ub)
     return SimplexResult(
         x=x,
         objective=float(c @ x),
@@ -183,4 +199,5 @@ def solve_bounded(
         bound_flips=bound_flips,
         degenerate_steps=degenerate_steps,
         bland_switched=bland,
+        reduced_costs=z,
     )

@@ -140,6 +140,7 @@ class TestSolve:
             return SimplexResult(
                 np.full(len(c), np.nan), float("nan"), 0,
                 bound_flips=0, degenerate_steps=0, bland_switched=False,
+                reduced_costs=np.zeros(len(c)),
             )
 
         f = tmp_path / "inst.csp"
@@ -165,6 +166,15 @@ class TestSolve:
         assert report["certified"] is False
         assert report["objective"] == objective(report["center"], deep_instance).objective
         assert report["lp_bound"] == 20 <= report["objective"]
+
+    def test_nan_time_limit_exits_2(self, tmp_path, capsys):
+        f = tmp_path / "inst.csp"
+        f.write_text(serialize_instance(generate_uniform(GeneratorConfig(
+            m=10, n=30, alphabet=Alphabet.from_string("ACGT"), seed=0
+        ))))
+        code = main(["solve", "--alg", "bnb", "--time-limit", "nan", "--in", str(f)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: time limit")
 
     def test_lp_capacity_exit_3(self, tmp_path, capsys, monkeypatch):
         f = tmp_path / "inst.csp"
@@ -233,6 +243,16 @@ class TestBenchHarness:
             assert rec.exact_optimum == rec.alg_objective
             assert rec.exact_ms < limit * 1000.0 / 10
 
+    def test_bnb_fills_every_exact_cell(self):
+        # The one 10x80 instance algorithm c leaves uncertified (center 47)
+        # is certified optimal by bnb with the root LP's dual weights.
+        rows = run_bench(
+            m_list=[5, 10], n_list=[30, 80], alphabet=Alphabet.from_string("ACGT"),
+            batch=3, seed=0, alg="c", exact="bnb",
+        )
+        assert all(row.exact_avg is not None for row in rows)
+        assert [row.exact_avg for row in rows][-1] == pytest.approx(142 / 3)
+
     def test_exact_column_empty_when_skipped(self):
         rows = run_bench(
             m_list=[3], n_list=[8], alphabet=Alphabet.from_string("01"),
@@ -260,6 +280,14 @@ class TestBenchCli:
         assert main(args + ["--out", str(f1)]) == 0
         assert main(args + ["--out", str(f2)]) == 0
         assert _mask_ms_columns(f1.read_text()) == _mask_ms_columns(f2.read_text())
+
+    def test_nan_time_limit_exits_2(self, capsys):
+        code = main([
+            "bench", "--m-list", "3", "--n-list", "6", "--alphabet", "01",
+            "--algs", "c,bnb", "--time-limit-per-instance", "nan",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: time limit")
 
     def test_rejects_two_heuristics(self, capsys):
         code = main([

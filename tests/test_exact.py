@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 import tracemalloc
 from unittest import mock
@@ -15,6 +16,7 @@ from closest_string import (
     branch_and_bound,
     brute_force_center,
     build_csp_lp,
+    dual_bound,
     generate_uniform,
     lp_lower_bound,
     objective,
@@ -326,6 +328,15 @@ class TestBranchAndBound:
         seeded = branch_and_bound(inst, incumbent=worst)
         assert seeded == plain
 
+    @pytest.mark.parametrize("limit", [float("nan"), -1.0, -math.inf])
+    def test_nan_or_negative_time_limit_rejected(self, limit):
+        with pytest.raises(ValueError, match="time limit"):
+            branch_and_bound(validate_instance(["00", "11"]), time_limit=limit)
+
+    def test_infinite_time_limit_means_no_limit(self):
+        res = branch_and_bound(_seeded(5, 8, "ACGT", 7), time_limit=math.inf)
+        assert res.certified
+
     def test_timeout_returns_uncertified_incumbent(self):
         inst = _seeded(8, 40, "ACGT", 3)
         res = branch_and_bound(inst, time_limit=0.0)
@@ -334,3 +345,107 @@ class TestBranchAndBound:
         # incumbent is a real center: never better than the true optimum
         # (cannot verify optimality here, but feasibility holds)
         assert len(res.center.chars) == inst.n
+
+
+def _weights_for(inst, data):
+    """Root LP duals, or non-negative integers or floats with zeros among
+    them, or all zeros."""
+    kind = data.draw(st.sampled_from(["lp", "int", "float", "zero"]))
+    if kind == "lp":
+        return solve_lp(build_csp_lp(inst)).weights
+    if kind == "zero":
+        return np.zeros(inst.m)
+    values = st.integers(0, 5) if kind == "int" else st.floats(0.0, 1.0)
+    return np.array(data.draw(st.lists(values, min_size=inst.m, max_size=inst.m)))
+
+
+class TestDualBound:
+    @settings(max_examples=150, deadline=None)
+    @given(small_instances(), st.data())
+    def test_valid_and_equal_to_the_lp_ceiling(self, inst, data):
+        _, optimum, _ = _reference_center(inst)
+        root = solve_lp(build_csp_lp(inst))
+        assert dual_bound(inst, root.weights) == lp_lower_bound(root)
+        weights = _weights_for(inst, data)
+        assert 0 <= dual_bound(inst, weights) <= optimum
+
+    def test_all_zero_weights_give_zero(self):
+        assert dual_bound(_seeded(6, 12, "ACGT", 1), np.zeros(6)) == 0
+
+    def test_two_opposed_strings(self):
+        # Each column costs weight 1 of 2 whatever the center: L = n / 2.
+        inst = validate_instance(["000", "111"])
+        assert dual_bound(inst, [3, 3]) == 2
+        # Lopsided weights give a weaker but still valid bound.
+        assert dual_bound(inst, [1, 0]) == 0
+
+    @pytest.mark.parametrize("weights", [[1.0, 2.0], [1.0, -1.0, 1.0], [np.nan, 1.0, 1.0]])
+    def test_rejects_bad_weights(self, weights):
+        inst = validate_instance(["00", "11", "01"])
+        with pytest.raises(ValueError, match="weights"):
+            dual_bound(inst, weights)
+        with pytest.raises(ValueError, match="weights"):
+            branch_and_bound(inst, weights=weights)
+
+
+class TestWeightedBranchAndBound:
+    @settings(max_examples=150, deadline=None)
+    @given(small_instances(), st.data())
+    def test_same_result_in_no_more_nodes(self, inst, data):
+        _, optimum, _ = _reference_center(inst)
+        bound = data.draw(st.integers(0, optimum))
+        incumbent = data.draw(st.one_of(
+            st.none(),
+            st.text(alphabet="".join(inst.alphabet.symbols), min_size=inst.n, max_size=inst.n)
+            .map(lambda chars: objective(chars, inst)),
+        ))
+        weights = _weights_for(inst, data)
+        plain = branch_and_bound(inst, lower_bound=bound, incumbent=incumbent)
+        weighted = branch_and_bound(
+            inst, lower_bound=bound, incumbent=incumbent, weights=weights
+        )
+        assert weighted.center == plain.center
+        assert weighted.optimum == plain.optimum == optimum
+        assert weighted.stop_reason == plain.stop_reason
+        assert weighted.nodes_explored <= plain.nodes_explored
+
+    def test_lp_weights_certify_10x20_in_few_nodes(self):
+        # Without weights each of these runs past 30 s; the root LP's duals
+        # certify all five in about 16,400 nodes.
+        nodes = 0
+        for seed in range(5):
+            inst = _seeded(10, 20, "ACGT", seed)
+            res = branch_and_bound(
+                inst, time_limit=60, weights=solve_lp(build_csp_lp(inst)).weights
+            )
+            assert res.stop_reason == "exhausted"
+            nodes += res.nodes_explored
+        assert nodes < 50_000
+
+    def test_bench_instance_certified_from_heuristic_center(self):
+        # The one 10x80 bench instance algorithm c leaves uncertified (LP
+        # ceiling 46, center 47): the weighted search proves 47 optimal.
+        inst = _seeded(10, 80, "ACGT", 1)
+        res = algorithm_c(inst)
+        assert (res.lp_bound, res.center.objective) == (46, 47)
+        bb = branch_and_bound(
+            inst, time_limit=60, lower_bound=res.lp_bound, incumbent=res.center,
+            weights=res.root_lp.weights,
+        )
+        assert bb.stop_reason == "exhausted"
+        assert bb.optimum == 47
+        assert bb.nodes_explored < 500_000
+
+    def test_identical_strings_zero_total_weight(self):
+        # d* = 0, so L(w) = 0 whatever the weights: the root LP's duals here
+        # are e_0, and all-zero weights (W = 0) skip the weighted cut.
+        inst = validate_instance(["GATA"] * 5)
+        root = solve_lp(build_csp_lp(inst))
+        assert dual_bound(inst, root.weights) == 0
+        plain = branch_and_bound(inst)
+        for weights in (root.weights, np.zeros(5)):
+            assert branch_and_bound(inst, weights=weights) == plain
+
+    def test_zero_weights_search_as_without(self):
+        inst = _seeded(6, 9, "ACGT", 4)
+        assert branch_and_bound(inst, weights=np.zeros(6)) == branch_and_bound(inst)

@@ -102,10 +102,12 @@ def test_lower_bound_epsilon_guard():
     alpha = Alphabet.from_string("01")
     base = solve_lp(build_csp_lp(validate_instance(["0", "1"])))
     overshoot = LpSolution(
-        alphabet=alpha, x=base.x, dvalue=3.0000000004, iterations=0,
+        alphabet=alpha, x=base.x, dvalue=3.0000000004, iterations=0, weights=base.weights,
     )
     assert lp_lower_bound(overshoot) == 3
-    integral = LpSolution(alphabet=alpha, x=base.x, dvalue=175.0, iterations=0)
+    integral = LpSolution(
+        alphabet=alpha, x=base.x, dvalue=175.0, iterations=0, weights=base.weights,
+    )
     assert lp_lower_bound(integral) == 175
 
 
@@ -349,3 +351,26 @@ def test_value_matches_highs(case):
     inst, fixed, start = case
     sol = solve_lp(build_csp_lp(inst, fixed), start=start)
     assert abs(sol.dvalue - _highs_value(inst, fixed)) <= EPSILON
+
+
+@settings(max_examples=150, deadline=None)
+@given(lp_cases())
+def test_weights_are_the_string_rows_duals(case):
+    # Duality: the pinned mismatches and each free column's least weighted
+    # mismatch, weighted by the duals, add up to the LP value.
+    inst, fixed, start = case
+    sol = solve_lp(build_csp_lp(inst, fixed), start=start)
+    w = sol.weights
+    assert w.shape == (inst.m,)
+    assert np.all(w >= 0)
+    if sol.dvalue > EPSILON:  # d is basic, so its reduced cost 1 - sum(w) is 0
+        assert abs(w.sum() - 1.0) <= EPSILON
+    value = 0.0
+    for j, column in enumerate(zip(*inst.strings)):
+        if j in fixed:
+            value += sum(wi for wi, a in zip(w, column) if a != fixed[j])
+        else:
+            value += w.sum() - max(
+                sum(wi for wi, a in zip(w, column) if a == b) for b in set(column)
+            )
+    assert abs(value - sol.dvalue) <= EPSILON

@@ -40,6 +40,33 @@ def test_simple_box_lp():
     assert_allclose(res.objective, -1.5, atol=1e-9)
 
 
+def test_reduced_costs_are_the_duals():
+    # min -x1 - x2 s.t. x1 + 2 x2 <= 4, 3 x1 + x2 <= 6: optimum (1.6, 1.2)
+    # with duals 0.4 and 0.2 on the two rows, the slacks' reduced costs.
+    res = _solve_with_slack_basis(
+        A_ub=[[1.0, 2.0], [3.0, 1.0]], b_ub=[4.0, 6.0], c=[-1.0, -1.0],
+        upper=np.array([10.0, 10.0]),
+    )
+    assert_allclose(res.x[:2], [1.6, 1.2], atol=1e-12)
+    assert_allclose(res.reduced_costs, [0.0, 0.0, 0.4, 0.2], atol=1e-12)
+
+
+def test_reduced_costs_satisfy_optimality_on_random_boxes():
+    rng = np.random.default_rng(98)
+    for _ in range(100):
+        m, n = int(rng.integers(1, 6)), int(rng.integers(2, 10))
+        A = rng.integers(-2, 4, size=(m, n)).astype(float)
+        upper = rng.integers(1, 4, size=n).astype(float)
+        res = _solve_with_slack_basis(
+            A, rng.integers(0, 6, size=m), rng.integers(-5, 6, size=n).astype(float), upper
+        )
+        z, x = res.reduced_costs[:n], res.x[:n]
+        # A column off its lower bound cannot have z > 0, nor one off its
+        # upper bound z < 0, or moving it would lower the objective.
+        assert np.all(z[x > 1e-9] <= 1e-6)
+        assert np.all(z[x < upper - 1e-9] >= -1e-6)
+
+
 def test_bound_flip_path():
     # Optimum pushes x to its upper bound without the constraint binding.
     res = _solve_with_slack_basis(
