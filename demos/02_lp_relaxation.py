@@ -9,6 +9,8 @@ variable d. Relaxing x to [0, 1] gives an LP whose optimum, rounded up,
 is a certified lower bound on the true optimum.
 """
 
+import numpy as np
+
 from closest_string import build_csp_lp, lp_lower_bound, solve_lp, validate_instance
 
 # Two maximally opposed singleton strings: the relaxation splits each
@@ -21,14 +23,16 @@ print("  x('0', 0) =", sol.value("0", 0), " x('1', 0) =", sol.value("1", 0))
 print("  integer lower bound  =", lp_lower_bound(sol))
 
 # Pinning a position shrinks the feasible region; the optimum can only
-# grow. Positions are pinned through coinciding variable bounds, so the
-# same model shape is re-solved as rounding progresses.
+# grow. Pins are one vector of alphabet indices, -1 at a free position. A
+# pinned position's x values are known, so it leaves the LP: each string
+# row counts it as a match or a mismatch. Each pin of iterative rounding
+# thus makes its next solve smaller.
 inst = validate_instance(["00", "11"])
 free = solve_lp(build_csp_lp(inst))
-pinned = solve_lp(build_csp_lp(inst, {0: "0"}))
+pinned = solve_lp(build_csp_lp(inst, np.array([inst.alphabet.index("0"), -1])))
 print("\nS = {00, 11}")
 print("  free optimum   =", free.dvalue)
-print("  pinned {0:'0'} =", pinned.dvalue)
+print("  pins [0, -1]   =", pinned.dvalue)
 
 # A larger random-looking instance: the vertex solution is mostly
 # integral, which is what iterative rounding exploits.

@@ -211,6 +211,8 @@ def run_bench(
     node_limit: int = 2_000_000,
 ) -> list[BenchRow]:
     """One row per (m, n) pair, in the order the flag lists give."""
+    if not m_list or not n_list:
+        raise ValueError("m_list and n_list must each hold at least one size")
     rows = []
     for m in m_list:
         for n in n_list:

@@ -78,7 +78,8 @@ def brute_force_center(
     The enumeration order is mixed-radix, most significant digit first,
     with each column's candidates in alphabet order; the first optimum in
     that order wins, so results are deterministic. Raises CapacityError
-    (naming the required node count) when the grid exceeds ``node_limit``.
+    (naming the required node count) when the grid exceeds ``node_limit``
+    and ValueError when that limit is negative.
 
     Only columns with more than one symbol are enumerated. They split into
     a low block, the longest suffix whose centers fit one chunk of about
@@ -87,6 +88,8 @@ def brute_force_center(
     distances to it and takes the max over strings, so memory stays
     bounded by the chunk whatever the grid size.
     """
+    if node_limit < 0:
+        raise ValueError(f"node limit must be a non-negative count, got {node_limit}")
     codes = inst.codes
     m = inst.m
     ordered = np.sort(codes, axis=0)

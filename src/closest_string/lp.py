@@ -3,11 +3,11 @@
 Variables: one x(a, j) in [0, 1] per symbol ``a`` and position ``j``
 (position-major order), plus the distance variable d. Constraints: each
 position's x values sum to one, and for each string i,
-n - sum_j x(s_i[j], j) <= d. Positions may be pinned to a symbol; the model
-checks its pins and turns them into alphabet indices once, when it is
-built. A pinned position has no variables or row of its own, since its x
-values are known: each string row's right-hand side counts it as a match
-or a mismatch, and the solution sets its row exactly one-hot.
+n - sum_j x(s_i[j], j) <= d. Pins are one vector of alphabet indices, -1 at
+a free position, which the model checks and copies. A pinned position has
+no variables or row of its own, since its x values are known: each string
+row's right-hand side counts it as a match or a mismatch, and the solution
+sets its row exactly one-hot.
 
 Every solve starts from a crash basis built around an integral start center:
 by default the column consensus, or a center the caller already has (the
@@ -23,8 +23,7 @@ branch and bound prunes with.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,26 +41,28 @@ EPSILON = 1e-6
 MAX_TABLEAU_CELLS = 1 << 25
 
 
-@dataclass(frozen=True)
+def _check_indices(name: str, vector: object, n: int, low: int, k: int) -> np.ndarray:
+    """``vector`` as an array, once it is n integers in [low, k)."""
+    vector = np.asarray(vector)
+    integral = vector.shape == (n,) and np.issubdtype(vector.dtype, np.integer)
+    if not (integral and np.all((vector >= low) & (vector < k))):
+        raise ValueError(f"{name} must be {n} integers in [{low}, {k})")
+    return vector
+
+
+@dataclass(frozen=True, eq=False)
 class LpModel:
     """Relaxation of one instance with an optional set of pinned positions.
 
-    ``pins`` is the read-only (n,) vector of pinned alphabet indices, -1 at
-    a free position.
+    ``pins`` is the model's own read-only copy of the caller's (n,) vector
+    of pinned alphabet indices, -1 at a free position.
     """
 
     instance: Instance
-    fixed: tuple[tuple[int, str], ...]
-    pins: np.ndarray = field(init=False, repr=False, compare=False)
+    pins: np.ndarray
 
     def __post_init__(self) -> None:
-        pins = np.full(self.instance.n, -1, dtype=np.int64)
-        for position, symbol in self.fixed:
-            if not 0 <= position < pins.size:
-                raise ValueError(f"fixed position {position} out of range")
-            if pins[position] >= 0:
-                raise ValueError(f"position {position} fixed more than once")
-            pins[position] = self.instance.alphabet.index(symbol)
+        pins = _check_indices("pins", self.pins, self.n, -1, self.k).astype(np.int64)
         pins.flags.writeable = False
         object.__setattr__(self, "pins", pins)
 
@@ -101,12 +102,10 @@ class LpSolution:
         return float(self.x[position, self.alphabet.index(symbol)])
 
 
-def build_csp_lp(
-    inst: Instance, fixed: Mapping[int, str] | None = None
-) -> LpModel:
-    """Relaxation for ``inst`` with the given positions pinned."""
-    pairs = tuple(sorted((int(j), str(a)) for j, a in (fixed or {}).items()))
-    return LpModel(instance=inst, fixed=pairs)
+def build_csp_lp(inst: Instance, pins: np.ndarray | None = None) -> LpModel:
+    """Relaxation for ``inst`` with the positions of ``pins`` (alphabet
+    indices, -1 where free) pinned; by default none is."""
+    return LpModel(inst, np.full(inst.n, -1) if pins is None else pins)
 
 
 def solve_lp(model: LpModel, *, start: np.ndarray | None = None) -> LpSolution:
@@ -145,14 +144,7 @@ def solve_lp(model: LpModel, *, start: np.ndarray | None = None) -> LpSolution:
     if start is None:
         anchor = np.bincount(x_cols.ravel(), minlength=nx).reshape(f, k).argmax(axis=1)
     else:
-        start = np.asarray(start)
-        if (
-            start.shape != (n,)
-            or not np.issubdtype(start.dtype, np.integer)
-            or not np.all((start >= 0) & (start < k))
-        ):
-            raise ValueError(f"start must be {n} alphabet indices in [0, {k})")
-        anchor = start[free]
+        anchor = _check_indices("start", start, n, 0, k)[free]
     # Each string's distance to the start center, pinned mismatches included.
     match = free_codes == anchor[None, :]
     dist = n - (codes == pins[None, :]).sum(axis=1) - match.sum(axis=1)

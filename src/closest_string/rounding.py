@@ -18,7 +18,9 @@ pin records its position's runner-up symbol.
 
 Each re-solve warm-starts the simplex from the argmax rounding of the
 previous solve, and each retry's first solve from that of the base run's
-root; the root itself starts from the column consensus.
+root; the root itself starts from the column consensus. A run keeps its
+pins in one vector of alphabet indices, -1 where free, and builds each
+solve's model from it; only the trace's fixes name symbols.
 
 Tie-breaking is everywhere "lowest position index, then alphabet order",
 so identical inputs give identical traces.
@@ -138,13 +140,13 @@ def _round_once(
     """
     symbols = inst.alphabet.symbols
     fixes = [Fix(j, a, 1.0, BRANCH_PRESET) for j, a in sorted((preset or {}).items())]
-    fixed = {f.position: f.symbol for f in fixes}
+    pins = np.full(inst.n, -1, dtype=np.int64)
+    pins[[f.position for f in fixes]] = [inst.alphabet.index(f.symbol) for f in fixes]
     iterations: list[RoundingIteration] = []
     t0 = time.perf_counter()
     while True:
-        model = build_csp_lp(inst, fixed)
         try:
-            sol = solve_lp(model, start=start)
+            sol = solve_lp(build_csp_lp(inst, pins), start=start)
         except LpFailureError as exc:
             exc.trace = RoundingTrace(tuple(iterations))
             raise
@@ -152,33 +154,33 @@ def _round_once(
             return None
         if not iterations:
             root, root_ms = sol, (time.perf_counter() - t0) * 1000.0
-        free = model.pins < 0
+        free = pins < 0
         if free.any():
             # Row-wise argmax over the free positions; pinned rows read -inf.
             masked = np.where(free[:, None], sol.x, -np.inf)
             best = masked.argmax(axis=1)
             top = masked[np.arange(inst.n), best]
             confident = np.flatnonzero(top >= theta - _THETA_SLACK)
-            for j in confident:
-                fixes.append(
-                    Fix(int(j), symbols[best[j]], float(top[j]), BRANCH_THRESHOLD)
-                )
+            pins[confident] = best[confident]
+            fixes.extend(
+                Fix(int(j), symbols[best[j]], float(top[j]), BRANCH_THRESHOLD) for j in confident
+            )
             if not confident.size:
                 # First maximum in position-major order: lowest position,
                 # then alphabet order.
                 j = int(np.argmax(top))
                 a = best[j]
+                pins[j] = a
                 masked[j, a] = -np.inf
                 runner_up = symbols[int(np.argmax(masked[j]))] if len(symbols) > 1 else None
                 fixes.append(Fix(j, symbols[a], float(top[j]), BRANCH_ARGMAX, runner_up))
-        fixed.update((f.position, f.symbol) for f in fixes)
         iterations.append(RoundingIteration(sol.dvalue, tuple(fixes), sol.iterations))
-        if len(fixed) == inst.n:
+        if pins.min() >= 0:
             break
         fixes = []
         start = sol.x.argmax(axis=1)
 
-    center = objective("".join(fixed[j] for j in range(inst.n)), inst)
+    center = objective(inst.alphabet.decode(pins)[0], inst)
     return RoundingResult(center, RoundingTrace(tuple(iterations)), root, root_ms)
 
 

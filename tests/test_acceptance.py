@@ -225,7 +225,7 @@ def test_criterion_7_simplex_unit_suite():
         and abs(sol.value("1", 0) - 0.5) <= eps
     )
 
-    pinned = solve_lp(build_csp_lp(validate_instance(["00", "11"]), {0: "0"}))
+    pinned = solve_lp(build_csp_lp(validate_instance(["00", "11"]), np.array([0, -1])))
     pinned_ok = abs(pinned.dvalue - 1.0) <= eps
 
     single = solve_lp(build_csp_lp(validate_instance(["GATTACA"])))
@@ -241,9 +241,10 @@ def test_criterion_7_simplex_unit_suite():
             GeneratorConfig(m=m, n=n, alphabet=alphabet, seed=int(rng.integers(0, 2**63)))
         )
         base = solve_lp(build_csp_lp(inst))
+        pins = np.full(n, -1)
         j = int(rng.integers(0, n))
-        a = inst.alphabet.symbols[int(rng.integers(0, len(inst.alphabet)))]
-        pinned_sol = solve_lp(build_csp_lp(inst, {j: a}))
+        pins[j] = int(rng.integers(0, len(inst.alphabet)))
+        pinned_sol = solve_lp(build_csp_lp(inst, pins))
         if pinned_sol.dvalue < base.dvalue - eps:
             monotone_ok = False
             break

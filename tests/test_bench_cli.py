@@ -176,6 +176,14 @@ class TestSolve:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: time limit")
 
+    def test_negative_node_limit_exits_2(self, tmp_path, capsys):
+        # A negative budget is a usage error, not a grid too large for it.
+        f = tmp_path / "inst.csp"
+        f.write_text("ACGT\nAGGT\n")
+        code = main(["solve", "--alg", "brute", "--node-limit", "-1", "--in", str(f)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: node limit")
+
     def test_lp_capacity_exit_3(self, tmp_path, capsys, monkeypatch):
         f = tmp_path / "inst.csp"
         f.write_text("ACGT\nAGGT\nACGA\n")
@@ -288,6 +296,29 @@ class TestBenchCli:
         ])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: time limit")
+
+    def test_negative_node_limit_exits_2(self, capsys):
+        # Used to print a blank exact_avg cell and exit 0.
+        code = main([
+            "bench", "--m-list", "3", "--n-list", "6", "--alphabet", "01",
+            "--algs", "c,brute", "--node-limit", "-5",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: node limit")
+
+    @pytest.mark.parametrize("flag", ["--m-list", "--n-list"])
+    @pytest.mark.parametrize("empty", ["", ","], ids=["blank", "comma"])
+    def test_empty_size_list_exits_2(self, flag, empty, capsys):
+        sizes = {"--m-list": "3", "--n-list": "6", flag: empty}
+        code = main([
+            "bench", "--m-list", sizes["--m-list"], "--n-list", sizes["--n-list"],
+            "--alphabet", "01",
+        ])
+        assert code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error:")
 
     def test_rejects_two_heuristics(self, capsys):
         code = main([

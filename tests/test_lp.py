@@ -36,25 +36,44 @@ def _random_instance(rng, m_hi=4, n_hi=7, alphabets=("01", "ACGT")):
 def test_model_shape_two_singletons():
     model = build_csp_lp(validate_instance(["0", "1"]))
     assert (model.n, model.m, model.k) == (1, 2, 2)
-    assert model.fixed == ()
+    assert model.pins.tolist() == [-1]
 
 
 def test_model_rejects_foreign_fixed_symbol():
     inst = validate_instance(["00", "11"])
-    with pytest.raises(ValueError):
-        build_csp_lp(inst, {0: "Z"})
+    with pytest.raises(ValueError, match="pins must be"):
+        build_csp_lp(inst, np.array([2, -1]))
 
 
 def test_model_rejects_out_of_range_position():
+    # Pinning position 5 of a length-2 instance needs a vector of length 6.
     inst = validate_instance(["00", "11"])
-    with pytest.raises(ValueError):
-        build_csp_lp(inst, {5: "0"})
+    pins = np.full(6, -1)
+    pins[5] = 0
+    with pytest.raises(ValueError, match="pins must be"):
+        build_csp_lp(inst, pins)
 
 
-def test_model_rejects_duplicate_position():
-    inst = validate_instance(["00", "11"])
-    with pytest.raises(ValueError, match="fixed more than once"):
-        LpModel(instance=inst, fixed=((0, "0"), (0, "1")))
+def test_model_rejects_bad_pin_vectors():
+    inst = validate_instance(["ACG", "TTT"])
+    for bad in ([0, 1], [0.0, 1.0, 2.0], [0, -2, 1], [0, 4, 1]):
+        with pytest.raises(ValueError, match="pins must be 3 integers in \\[-1, 4\\)"):
+            build_csp_lp(inst, np.array(bad))
+        with pytest.raises(ValueError, match="pins must be"):
+            LpModel(inst, np.array(bad))
+
+
+def test_model_keeps_its_own_read_only_pins():
+    # Rounding writes to its vector between solves; a built model must not
+    # see those writes.
+    inst = validate_instance(["ACG", "TTT"])
+    pins = np.array([1, -1, -1])
+    model = build_csp_lp(inst, pins)
+    pins[1] = 3
+    pins[0] = -1
+    assert model.pins.tolist() == [1, -1, -1]
+    assert not model.pins.flags.writeable
+    assert solve_lp(model).x[0].tolist() == [0.0, 1.0, 0.0, 0.0]
 
 
 def test_solve_symmetric_midpoint():
@@ -72,7 +91,7 @@ def test_solve_pinned_matches_grid_oracle():
     assert oracle == 1.0
 
     inst = validate_instance(["00", "11"])
-    sol = solve_lp(build_csp_lp(inst, {0: "0"}))
+    sol = solve_lp(build_csp_lp(inst, np.array([0, -1])))
     assert_allclose(sol.dvalue, oracle, atol=EPS)
     assert_allclose(sol.value("0", 1), 0.0, atol=EPS)
 
@@ -113,7 +132,7 @@ def test_lower_bound_epsilon_guard():
 
 def test_tableau_capacity_checked_before_solving(monkeypatch):
     # Four free positions over ACGT and 3 strings: (4 + 3) * (4 * 4 + 3 + 2) cells.
-    model = build_csp_lp(validate_instance(["ACGTA", "AGGTC", "ACGAG"]), {0: "A"})
+    model = build_csp_lp(validate_instance(["ACGTA", "AGGTC", "ACGAG"]), np.array([0, -1, -1, -1, -1]))
     cells = 7 * 21
 
     def no_simplex(*args, **kwargs):
@@ -173,28 +192,30 @@ def test_monotone_under_fixing():
     for _ in range(40):
         inst = _random_instance(rng, m_hi=5, n_hi=8)
         base = solve_lp(build_csp_lp(inst))
-        j = int(rng.integers(0, inst.n))
-        a = str(rng.choice(list(inst.alphabet.symbols)))
-        pinned = solve_lp(build_csp_lp(inst, {j: a}))
+        pins = np.full(inst.n, -1)
+        pins[int(rng.integers(0, inst.n))] = int(rng.integers(0, len(inst.alphabet)))
+        pinned = solve_lp(build_csp_lp(inst, pins))
         assert pinned.dvalue >= base.dvalue - EPS
 
 
 def test_pinned_respected_in_solution():
     inst = validate_instance(["ACAC", "TGCA", "ACGT"])
-    sol = solve_lp(build_csp_lp(inst, {1: "G", 3: "T"}))
+    sol = solve_lp(build_csp_lp(inst, np.array([-1, 2, -1, 3])))
     # Pinned rows are exactly one-hot, not merely within EPS.
     assert np.array_equal(sol.x[1], [0.0, 0.0, 1.0, 0.0])
     assert np.array_equal(sol.x[3], [0.0, 0.0, 0.0, 1.0])
 
 
 def _random_pins(rng, inst):
-    """A random subset of positions, from none up to all, each pinned to a
-    random symbol."""
+    """A pin vector over a random subset of positions, from none up to all,
+    each pinned to a random symbol's index."""
+    pins = np.full(inst.n, -1)
     pinned = rng.permutation(inst.n)[: int(rng.integers(0, inst.n + 1))]
-    return {int(j): str(rng.choice(list(inst.alphabet.symbols))) for j in pinned}
+    pins[pinned] = rng.integers(0, len(inst.alphabet), size=pinned.size)
+    return pins
 
 
-def _highs_value(inst, fixed):
+def _highs_value(inst, pins):
     """The relaxation rebuilt independently and solved by scipy's HiGHS."""
     from scipy.optimize import linprog
 
@@ -212,9 +233,9 @@ def _highs_value(inst, fixed):
         A_ub[i, nx] = -1.0
     b_ub = np.full(m, -float(n))
     bounds = [(0.0, 1.0)] * nx + [(0.0, None)]
-    for j, a in fixed.items():
-        for idx, sym in enumerate(inst.alphabet.symbols):
-            pin = 1.0 if sym == a else 0.0
+    for j in np.flatnonzero(pins >= 0):
+        for idx in range(k):
+            pin = 1.0 if idx == pins[j] else 0.0
             bounds[j * k + idx] = (pin, pin)
     ref = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq,
                   b_eq=np.ones(n), bounds=bounds, method="highs")
@@ -227,9 +248,9 @@ def test_optimum_matches_external_lp_oracle():
     rng = np.random.default_rng(777)
     for _ in range(30):
         inst = _random_instance(rng, m_hi=6, n_hi=10)
-        fixed = _random_pins(rng, inst)
-        sol = solve_lp(build_csp_lp(inst, fixed))
-        assert abs(sol.dvalue - _highs_value(inst, fixed)) <= 1e-7
+        pins = _random_pins(rng, inst)
+        sol = solve_lp(build_csp_lp(inst, pins))
+        assert abs(sol.dvalue - _highs_value(inst, pins)) <= 1e-7
 
 
 def test_value_independent_of_start():
@@ -238,16 +259,16 @@ def test_value_independent_of_start():
     rng = np.random.default_rng(4242)
     for _ in range(40):
         inst = _random_instance(rng, m_hi=6, n_hi=10, alphabets=("01", "ACGT", "ABCDEFGH"))
-        fixed = _random_pins(rng, inst)
-        model = build_csp_lp(inst, fixed)
+        pins = _random_pins(rng, inst)
+        model = build_csp_lp(inst, pins)
         default = solve_lp(model)
-        ref = _highs_value(inst, fixed)
+        ref = _highs_value(inst, pins)
         for _ in range(3):
             start = rng.integers(0, len(inst.alphabet), size=inst.n)
             sol = solve_lp(model, start=start)
-            for j, a in fixed.items():
+            for j in np.flatnonzero(pins >= 0):
                 one_hot = np.zeros(len(inst.alphabet))
-                one_hot[inst.alphabet.index(a)] = 1.0
+                one_hot[pins[j]] = 1.0
                 assert np.array_equal(sol.x[j], one_hot)
             assert abs(sol.dvalue - default.dvalue) <= EPS
             assert abs(sol.dvalue - ref) <= EPS
@@ -286,8 +307,8 @@ def test_solve_deterministic():
 
 @st.composite
 def lp_cases(draw):
-    """A small instance over 01, ACGT or ABCDEFGH, pins on any subset of
-    positions (none to all), and a start center or None."""
+    """A small instance over 01, ACGT or ABCDEFGH, a pin vector over any
+    subset of positions (none to all), and a start center or None."""
     chars = draw(st.sampled_from(["01", "ACGT", "ABCDEFGH"]))
     m = draw(st.integers(1, 6))
     n = draw(st.integers(1, 10))
@@ -295,24 +316,22 @@ def lp_cases(draw):
         st.text(alphabet=chars, min_size=n, max_size=n), min_size=m, max_size=m
     ))
     inst = validate_instance(rows, Alphabet.from_string(chars))
-    positions = draw(st.lists(st.integers(0, n - 1), unique=True))
-    fixed = {j: draw(st.sampled_from(chars)) for j in positions}
+    pins = np.array(draw(st.lists(
+        st.integers(-1, len(chars) - 1), min_size=n, max_size=n
+    )))
     start = draw(st.one_of(
         st.none(),
         st.lists(st.integers(0, len(chars) - 1), min_size=n, max_size=n).map(np.array),
     ))
-    return inst, fixed, start
+    return inst, pins, start
 
 
-def _reference_tableau(inst, fixed, basis):
+def _reference_tableau(inst, pins, basis):
     """B^-1 [A | b] by an LU solve, with A and b built entry by entry: one
     assignment row per free position, then string i's row (its free x
     values + d - slack i = n - the pins it matches)."""
     n, m, k = inst.n, inst.m, len(inst.alphabet)
     codes = inst.codes
-    pins = np.full(n, -1)
-    for j, a in fixed.items():
-        pins[j] = inst.alphabet.index(a)
     free = np.flatnonzero(pins < 0)
     f = free.size
     nx = f * k
@@ -331,7 +350,7 @@ def _reference_tableau(inst, fixed, basis):
 @settings(max_examples=150, deadline=None)
 @given(lp_cases())
 def test_crash_tableau_equals_lu_reference(case):
-    inst, fixed, start = case
+    inst, pins, start = case
     real = closest_string.lp.solve_bounded
     seen = []
 
@@ -340,17 +359,17 @@ def test_crash_tableau_equals_lu_reference(case):
         return real(T, c, upper, basis, **kwargs)
 
     with mock.patch.object(closest_string.lp, "solve_bounded", capture):
-        solve_lp(build_csp_lp(inst, fixed), start=start)
+        solve_lp(build_csp_lp(inst, pins), start=start)
     (T, basis), = seen
-    assert np.array_equal(T, _reference_tableau(inst, fixed, basis))
+    assert np.array_equal(T, _reference_tableau(inst, pins, basis))
 
 
 @settings(max_examples=150, deadline=None)
 @given(lp_cases())
 def test_value_matches_highs(case):
-    inst, fixed, start = case
-    sol = solve_lp(build_csp_lp(inst, fixed), start=start)
-    assert abs(sol.dvalue - _highs_value(inst, fixed)) <= EPSILON
+    inst, pins, start = case
+    sol = solve_lp(build_csp_lp(inst, pins), start=start)
+    assert abs(sol.dvalue - _highs_value(inst, pins)) <= EPSILON
 
 
 @settings(max_examples=150, deadline=None)
@@ -358,8 +377,8 @@ def test_value_matches_highs(case):
 def test_weights_are_the_string_rows_duals(case):
     # Duality: the pinned mismatches and each free column's least weighted
     # mismatch, weighted by the duals, add up to the LP value.
-    inst, fixed, start = case
-    sol = solve_lp(build_csp_lp(inst, fixed), start=start)
+    inst, pins, start = case
+    sol = solve_lp(build_csp_lp(inst, pins), start=start)
     w = sol.weights
     assert w.shape == (inst.m,)
     assert np.all(w >= 0)
@@ -367,8 +386,9 @@ def test_weights_are_the_string_rows_duals(case):
         assert abs(w.sum() - 1.0) <= EPSILON
     value = 0.0
     for j, column in enumerate(zip(*inst.strings)):
-        if j in fixed:
-            value += sum(wi for wi, a in zip(w, column) if a != fixed[j])
+        if pins[j] >= 0:
+            pinned = inst.alphabet.symbols[pins[j]]
+            value += sum(wi for wi, a in zip(w, column) if a != pinned)
         else:
             value += w.sum() - max(
                 sum(wi for wi, a in zip(w, column) if a == b) for b in set(column)

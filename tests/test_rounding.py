@@ -413,9 +413,11 @@ def _reference_argmax_pin(x, unfixed, alphabet):
 
 
 def _reference_round_once(inst, theta, preset=None):
-    """Rounding pass with a separate single-pin mode (``theta`` None) and
-    the argmax pins' values and runner-ups kept in ``first``/``second``
-    maps. Returns (center, [(dvalue, pivots, fixes)], first, second)."""
+    """Rounding pass with a separate single-pin mode (``theta`` None), its
+    pins booked as a position -> symbol map and turned into an index vector
+    only for each solve, and the argmax pins' values and runner-ups kept in
+    ``first``/``second`` maps. Returns (center, [(dvalue, pivots, fixes)],
+    first, second)."""
     n = inst.n
     alphabet = inst.alphabet
     fixed = dict(preset or {})
@@ -426,7 +428,10 @@ def _reference_round_once(inst, theta, preset=None):
     iterations, first, second = [], {}, {}
     start = None
     while True:
-        sol = solve_lp(build_csp_lp(inst, fixed), start=start)
+        pins = np.full(n, -1)
+        for j, symbol in fixed.items():
+            pins[j] = alphabet.index(symbol)
+        sol = solve_lp(build_csp_lp(inst, pins), start=start)
         fixes = []
         for j in preset_pending:
             fixes.append((j, fixed[j], float(sol.value(fixed[j], j)), BRANCH_PRESET))

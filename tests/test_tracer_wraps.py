@@ -57,6 +57,17 @@ def test_recorders_fill_their_counts(tmp_path):
         assert found, f"no {name} span"
         return found
 
+    # Rounding builds a model for every solve it makes, so a refactor that
+    # stopped calling build_csp_lp would read as zero lp.build_s.
+    def through_rounding(name):
+        return [
+            s for s in tracer.spans
+            if s.name == name and s.parent >= 0
+            and tracer.spans[s.parent].name.startswith("rounding.")
+        ]
+
+    solves = through_rounding("lp.solve_lp")
+    assert solves and len(through_rounding("lp.build_csp_lp")) == len(solves)
     for info in infos("lp.solve_lp"):
         assert info["pivots"] >= 0
     for info in infos("simplex.solve_bounded"):
