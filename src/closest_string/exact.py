@@ -4,6 +4,9 @@ plus the weighted-consensus lower bound that branch and bound prunes with.
 Both solvers restrict center characters at position j to the characters
 appearing in column j, which is lossless: swapping an out-of-column
 character for any in-column one never increases any string's distance.
+``_column_symbols`` derives each column's characters once, in alphabet
+order. Symbol a there mismatches the strings ``codes[:, j, None] != a``,
+which give branch and bound's child order, weights and floors.
 
 The bound: for string weights w >= 0 with total W > 0, every center c has
 max_i d(c, s_i) >= sum_i w_i d(c, s_i) / W >= L(w), where
@@ -17,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +72,21 @@ class ExactResult:
         return self.stop_reason != STOP_TIMEOUT
 
 
+def _column_symbols(codes: np.ndarray) -> list[np.ndarray]:
+    """Each column's distinct codes in ascending (alphabet) order."""
+    ordered = np.sort(codes, axis=0)
+    distinct = np.ones(ordered.shape, dtype=bool)
+    distinct[1:] = ordered[1:] != ordered[:-1]
+    return [col[keep] for col, keep in zip(ordered.T, distinct.T)]
+
+
+def _result(inst: Instance, best_codes: np.ndarray, nodes: int, stop: str) -> ExactResult:
+    center = objective(inst.alphabet.decode(best_codes)[0], inst)
+    return ExactResult(
+        center=center, optimum=center.objective, nodes_explored=nodes, stop_reason=stop
+    )
+
+
 def brute_force_center(
     inst: Instance, node_limit: int = 2_000_000
 ) -> ExactResult:
@@ -92,10 +109,7 @@ def brute_force_center(
         raise ValueError(f"node limit must be a non-negative count, got {node_limit}")
     codes = inst.codes
     m = inst.m
-    ordered = np.sort(codes, axis=0)
-    distinct = np.ones(ordered.shape, dtype=bool)
-    distinct[1:] = ordered[1:] != ordered[:-1]
-    col_codes = [col[keep] for col, keep in zip(ordered.T, distinct.T)]
+    col_codes = _column_symbols(codes)
     # A column with one symbol takes it: that costs no string a mismatch and
     # adds a radix-1 digit, which leaves the enumeration order unchanged.
     varying = [j for j, cc in enumerate(col_codes) if len(cc) > 1]
@@ -107,7 +121,7 @@ def brute_force_center(
     # Distances are at most len(varying).
     dtype = np.int16 if len(varying) < np.iinfo(np.int16).max else np.int32
     # mismatch[t][i, d]: string i differs from digit d of varying column t.
-    mismatch = [(codes[:, j, None] != col_codes[j][None, :]).astype(dtype) for j in varying]
+    mismatch = [(codes[:, j, None] != col_codes[j]).astype(dtype) for j in varying]
 
     # Low block: the longest suffix of varying columns whose centers fit one
     # chunk; each prefix over the other (high) columns is one chunk.
@@ -139,13 +153,7 @@ def brute_force_center(
     for t in range(len(varying) - 1, -1, -1):
         best_index, d = divmod(best_index, radices[t])
         best_codes[varying[t]] = col_codes[varying[t]][d]
-    center = objective(inst.alphabet.decode(best_codes)[0], inst)
-    return ExactResult(
-        center=center,
-        optimum=center.objective,
-        nodes_explored=total,
-        stop_reason=STOP_EXHAUSTED,
-    )
+    return _result(inst, best_codes, total, STOP_EXHAUSTED)
 
 
 def _integer_weights(inst: Instance, weights: np.ndarray) -> np.ndarray:
@@ -161,15 +169,20 @@ def _integer_weights(inst: Instance, weights: np.ndarray) -> np.ndarray:
     return np.rint(w / total * _WEIGHT_SCALE).astype(np.int64)
 
 
-def _column_floors(codes: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Per column, the least weight of the strings any one symbol there
-    mismatches: W minus the largest weight of strings sharing a symbol.
-    Integer (int64) and exact, one pass over the (m, n) codes per symbol
-    present."""
-    heaviest = np.zeros(codes.shape[1], dtype=np.int64)
-    for a in np.unique(codes):
-        np.maximum(heaviest, w @ (codes == a), out=heaviest)
-    return int(w.sum()) - heaviest
+def _children(codes: np.ndarray, w: np.ndarray) -> tuple[list, list, list]:
+    """Per column: its symbols ranked by descending frequency (ties in
+    alphabet order), the strings each one mismatches, and their exact
+    weight under the int64 ``w``. The lightest is the column's floor: W
+    minus the heaviest weight of strings sharing a symbol."""
+    symbols, misses, child_w = [], [], []
+    for j, present in enumerate(_column_symbols(codes)):
+        mismatch = codes[:, j, None] != present
+        rank = np.argsort(mismatch.sum(axis=0), kind="stable")
+        mismatch = mismatch[:, rank]
+        symbols.append(present[rank].tolist())
+        misses.append([np.flatnonzero(col).tolist() for col in mismatch.T])
+        child_w.append((w @ mismatch).tolist())
+    return symbols, misses, child_w
 
 
 def dual_bound(inst: Instance, weights: np.ndarray) -> int:
@@ -185,7 +198,7 @@ def dual_bound(inst: Instance, weights: np.ndarray) -> int:
     total = int(w.sum())
     if total == 0:
         return 0
-    return -(-int(_column_floors(inst.codes, w).sum()) // total)
+    return -(-sum(map(min, _children(inst.codes, w)[2])) // total)
 
 
 def branch_and_bound(
@@ -227,13 +240,7 @@ def branch_and_bound(
     # Children ordered by descending column frequency (ties: alphabet order)
     # so good incumbents appear early; each child lists the strings it
     # mismatches, the only counts it changes.
-    symbols: list[list[int]] = []
-    misses: list[list[list[int]]] = []
-    for col in codes.T:
-        freq = Counter(col.tolist())
-        ranked = sorted(freq, key=lambda a: (-freq[a], a))
-        symbols.append(ranked)
-        misses.append([np.flatnonzero(col != ch).tolist() for ch in ranked])
+    symbols, misses, child_w = _children(codes, w)
 
     # Weighted cut: a child at depth j is cut when the weight of the strings
     # its path and itself mismatch, plus rest[j + 1] (the least any
@@ -242,9 +249,7 @@ def branch_and_bound(
     # best. At depth 0 this is the dual_bound test. With W = 0, such as
     # with no weights, it never fires.
     total_w = int(w.sum())
-    rest = np.append(np.cumsum(_column_floors(codes, w)[::-1])[::-1], 0).tolist()
-    wlist = w.tolist()
-    child_w = [[sum(wlist[i] for i in child) for child in column] for column in misses]
+    rest = [*itertools.accumulate(map(min, reversed(child_w)), initial=0)][::-1]
 
     # Each input string's distance to the farthest other: n minus its fewest
     # matches. Matches are summed over symbols as products of 0/1 indicator
@@ -324,10 +329,4 @@ def branch_and_bound(
         path_max[j] = new_max
         path_w[j] = weight
 
-    center = objective(inst.alphabet.decode(best_codes)[0], inst)
-    return ExactResult(
-        center=center,
-        optimum=center.objective,
-        nodes_explored=nodes,
-        stop_reason=stop,
-    )
+    return _result(inst, best_codes, nodes, stop)

@@ -20,6 +20,7 @@ from closest_string.bench import (
     measure_instance,
     rows_to_csv,
     run_bench,
+    run_solver,
 )
 from closest_string.cli import build_parser, main
 from closest_string.simplex import SimplexResult
@@ -261,6 +262,18 @@ class TestBenchHarness:
         assert all(row.exact_avg is not None for row in rows)
         assert [row.exact_avg for row in rows][-1] == pytest.approx(142 / 3)
 
+    def test_unknown_solver_names_raise(self):
+        inst = generate_uniform(GeneratorConfig(
+            m=3, n=6, alphabet=Alphabet.from_string("01"), seed=0
+        ))
+        with pytest.raises(ValueError, match="need a heuristic"):
+            measure_instance(
+                inst, 0, alg="bnb", theta=0.9, retries=8, exact=None,
+                time_limit=1.0, node_limit=10,
+            )
+        with pytest.raises(ValueError, match="unknown solver 'x'"):
+            run_solver(inst, "x", 0.9, 8, 1.0, 10)
+
     def test_exact_column_empty_when_skipped(self):
         rows = run_bench(
             m_list=[3], n_list=[8], alphabet=Alphabet.from_string("01"),
@@ -320,13 +333,38 @@ class TestBenchCli:
         assert out.out == ""
         assert out.err.startswith("error:")
 
-    def test_rejects_two_heuristics(self, capsys):
-        code = main([
-            "bench", "--m-list", "2", "--n-list", "4", "--alphabet", "01",
-            "--algs", "a,b",
-        ])
+    @pytest.mark.parametrize("flags, message", [
+        (["--algs", "a,b"], "error: --algs needs exactly one of a, b, c"),
+        (["--algs", "c,brute,bnb"], "error: --algs accepts at most one of brute, bnb"),
+        (["--algs", "c,foo"], "error: unknown algorithm(s): foo"),
+        (["--batch", "0"], "error: batch must be >= 1"),
+    ], ids=["two-heuristics", "two-exact", "unknown-alg", "zero-batch"])
+    def test_refused_options_exit_2(self, flags, message, capsys):
+        code = main(["bench", "--m-list", "2", "--n-list", "4", "--alphabet", "01", *flags])
         assert code == 2
-        assert "error" in capsys.readouterr().err
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(message)
+
+    def test_malformed_size_list_is_a_parser_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--m-list", "1,x", "--n-list", "4", "--alphabet", "01"])
+        assert exc.value.code == 2
+        assert "not a comma-separated int list" in capsys.readouterr().err
+
+    def test_over_budget_brute_leaves_exact_cell_blank(self, capsys):
+        # Every 5x30 ACGT grid exceeds ten centers: brute raises CapacityError
+        # on each instance, and the row reports no exact optimum but still
+        # the time the attempts took.
+        code = main([
+            "bench", "--m-list", "5", "--n-list", "30", "--alphabet", "ACGT",
+            "--batch", "2", "--algs", "c,brute", "--node-limit", "10",
+        ])
+        assert code == 0
+        header, line = capsys.readouterr().out.strip().splitlines()
+        cells = dict(zip(header.split(","), line.split(",")))
+        assert cells["exact_avg"] == ""
+        assert cells["exact_ms"] != ""
 
     def test_stdout_output(self, capsys):
         code = main([

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from closest_string import (
     Alphabet,
     CapacityError,
+    ExactResult,
     GeneratorConfig,
     algorithm_c,
     branch_and_bound,
@@ -66,6 +67,30 @@ def _reference_center(inst):
         if best_obj is None or obj < best_obj:
             best, best_obj = "".join(cand), obj
     return best, best_obj, count
+
+
+def test_result_rejects_inconsistent_fields():
+    center = objective("01", validate_instance(["00", "11"]))
+    with pytest.raises(ValueError, match="optimum"):
+        ExactResult(center, center.objective + 1, 0, "exhausted")
+    with pytest.raises(ValueError, match="unknown stop reason"):
+        ExactResult(center, center.objective, 0, "done")
+
+
+def test_exact_cli_node_counts():
+    # The exact counts of the benchmark's exact-cli workload, recomputed as
+    # its ``solve --alg brute`` and ``--alg bnb`` calls make them: 10x9 ACGT
+    # seeds 0-59, bnb given the root LP's ceiling and weights. A change in
+    # either search's order or pruning shows here.
+    brute = bnb = 0
+    for seed in range(60):
+        inst = _seeded(10, 9, "ACGT", seed)
+        root = solve_lp(build_csp_lp(inst))
+        brute += brute_force_center(inst).nodes_explored
+        bnb += branch_and_bound(
+            inst, lower_bound=lp_lower_bound(root), weights=root.weights
+        ).nodes_explored
+    assert (brute, bnb) == (8_558_848, 23_944)
 
 
 class TestBruteForce:
@@ -207,6 +232,36 @@ class TestBranchAndBound:
         assert res.nodes_explored == 0
         assert res.center.chars == inst.strings[int(np.argmin(reference))]
         assert res.optimum == reference.min()
+
+    def test_returns_first_optimum_in_child_order(self):
+        # Children run from a column's most frequent symbol to its least
+        # (ties in alphabet order), and only a strictly better center
+        # replaces the incumbent; weights cut only subtrees with nothing
+        # better. So the answer is the first optimum of that order, unless
+        # the first incumbent (the first input string with the smallest
+        # largest distance) is already optimal.
+        rng = np.random.default_rng(1600)
+        for chars in ("01", "ACGT"):
+            for _ in range(200):
+                inst = _seeded(
+                    int(rng.integers(1, 6)), int(rng.integers(1, 7)), chars,
+                    int(rng.integers(0, 2**32)),
+                )
+                codes = inst.codes
+                ranked = [
+                    sorted(set(col), key=lambda a: (-col.count(a), inst.alphabet.index(a)))
+                    for col in zip(*inst.strings)
+                ]
+                grid = inst.alphabet.encode(["".join(t) for t in itertools.product(*ranked)])
+                grid_objs = (grid[:, None, :] != codes[None]).sum(axis=2).max(axis=1)
+                input_objs = (codes[:, None, :] != codes[None]).sum(axis=2).max(axis=1)
+                if input_objs.min() == grid_objs.min():
+                    expected = inst.strings[int(np.argmin(input_objs))]
+                else:
+                    expected = inst.alphabet.decode(grid[int(np.argmin(grid_objs))])[0]
+                for weights in (None, solve_lp(build_csp_lp(inst)).weights):
+                    res = branch_and_bound(inst, time_limit=math.inf, weights=weights)
+                    assert res.center.chars == expected
 
     def test_first_incumbent_memory_bounded(self):
         # 1500 x 40 binary: an (m, m, n) comparison would take 86 MiB.

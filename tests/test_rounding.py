@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import closest_string.rounding as rounding
 from closest_string import (
     Alphabet,
+    CenterString,
     GeneratorConfig,
     LpFailureError,
     algorithm_a,
@@ -244,6 +245,15 @@ def test_certification_implies_lp_bound_match():
         if res.exact_certified:
             assert res.center.objective == res.lp_bound
             assert res.center.objective == brute_force_center(inst).optimum
+
+
+def test_result_rejects_center_below_lp_ceiling():
+    # Two opposed strings of length 3: LP value 1.5, ceiling 2, so no real
+    # center has objective 1; a record claiming one is refused.
+    res = algorithm_c(validate_instance(["000", "111"]))
+    assert res.lp_bound == 2
+    with pytest.raises(ValueError, match="below the LP lower bound"):
+        replace(res, center=CenterString("010", (1, 1), 1))
 
 
 def test_deterministic_traces():
