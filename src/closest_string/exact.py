@@ -35,8 +35,7 @@ STOP_TIMEOUT = "timeout"
 STOP_LOWER_BOUND = "lower-bound"
 STOP_REASONS = (STOP_EXHAUSTED, STOP_TIMEOUT, STOP_LOWER_BOUND)
 
-# Cells per chunk of brute force's distance table (strings x centers) and
-# of the pairwise comparison that seeds branch and bound.
+# Cells per chunk of brute force's distance table (strings x centers).
 _CHUNK_CELLS = 1 << 20
 
 # Work between two deadline checks of branch and bound, counted as one unit
@@ -218,11 +217,13 @@ def branch_and_bound(
     the ``dual_bound`` test applied to the rest of the tree. That removes
     only subtrees with no strictly better center, so the incumbents found,
     and the result apart from ``nodes_explored``, are those of the search
-    without weights. The initial incumbent is the best input
-    string used as a center, or ``incumbent`` (such as a rounding
-    heuristic's center) when it is strictly better. The search stops
-    as soon as the incumbent reaches ``lower_bound``, which must be a
-    valid lower bound on the optimum (such as the LP ceiling,
+    without weights. The initial incumbent is the search's own first leaf
+    (each column's most frequent symbol, ties in alphabet order), or
+    ``incumbent`` (such as a rounding heuristic's center) when it is
+    strictly better; only a strictly better leaf replaces it, so with no
+    ``incumbent`` the result is the first optimum in child order. The
+    search stops as soon as the incumbent reaches ``lower_bound``, which
+    must be a valid lower bound on the optimum (such as the LP ceiling,
     ``lp_lower_bound``). On timeout the incumbent comes back with
     ``certified=False`` rather than an error; ``time_limit`` may be
     ``inf`` but not NaN or negative (ValueError). The search keeps its path
@@ -251,22 +252,10 @@ def branch_and_bound(
     total_w = int(w.sum())
     rest = [*itertools.accumulate(map(min, reversed(child_w)), initial=0)][::-1]
 
-    # Each input string's distance to the farthest other: n minus its fewest
-    # matches. Matches are summed over symbols as products of 0/1 indicator
-    # matrices (exact in float32 below 2^24), a block of rows at a time so
-    # each product holds at most _CHUNK_CELLS cells.
-    rows = max(1, _CHUNK_CELLS // inst.m)
-    dtype = np.float32 if n < 1 << 24 else np.float64
-    fewest = [
-        sum(
-            (codes[i : i + rows] == a).astype(dtype) @ (codes == a).astype(dtype).T
-            for a in np.unique(codes)
-        ).min(axis=1)
-        for i in range(0, inst.m, rows)
-    ]
-    input_objs = n - np.concatenate(fewest).astype(np.int64)
-    best = int(input_objs.min())
-    best_codes = codes[int(np.argmin(input_objs))].copy()
+    # The first incumbent is the search's own first leaf: each column's
+    # first child, its most frequent symbol (ties in alphabet order).
+    best_codes = np.array([ranked[0] for ranked in symbols], dtype=codes.dtype)
+    best = int(np.count_nonzero(codes != best_codes, axis=1).max())
     if incumbent is not None:
         given = objective(incumbent.chars, inst)
         if given.objective < best:

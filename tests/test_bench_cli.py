@@ -237,8 +237,9 @@ class TestBenchHarness:
         assert rows[0].exact_avg == rows[0].alg_avg
 
     def test_bnb_stops_at_certified_heuristic_center(self):
-        # From the best input string alone, bnb runs past 2 s on each of
-        # these 5x30 instances; the certified heuristic center ends it.
+        # From its own first leaf with no lower bound, bnb runs past 2 s on
+        # each of these 5x30 instances; the certified heuristic center, at
+        # the LP ceiling, ends it.
         limit = 20.0
         for seed in (2, 4, 6, 11):
             inst = generate_uniform(GeneratorConfig(

@@ -104,6 +104,10 @@ def test_validate_ragged():
 def test_validate_empty():
     with pytest.raises(FormatError):
         validate_instance([])
+    with pytest.raises(FormatError, match="at least one nonempty string"):
+        validate_instance([""], Alphabet.from_string("A"))
+    with pytest.raises(FormatError, match="at least one nonempty string"):
+        Instance(Alphabet.from_string("A"), ())
 
 
 def test_validate_respects_explicit_alphabet():
@@ -153,6 +157,13 @@ def test_alphabet_rejects_duplicates_and_empty():
         Alphabet.from_string("AAC")
     with pytest.raises(ValueError):
         Alphabet(())
+    with pytest.raises(ValueError, match="single characters"):
+        Alphabet(("AB",))
+
+
+def test_unknown_symbol_names_symbol_and_alphabet():
+    with pytest.raises(ValueError, match="'G' not in alphabet 'AC'"):
+        Alphabet.from_string("AC").index("G")
 
 
 def test_alphabet_order_is_input_order():

@@ -90,7 +90,7 @@ def test_exact_cli_node_counts():
         bnb += branch_and_bound(
             inst, lower_bound=lp_lower_bound(root), weights=root.weights
         ).nodes_explored
-    assert (brute, bnb) == (8_558_848, 23_944)
+    assert (brute, bnb) == (8_558_848, 23_820)
 
 
 class TestBruteForce:
@@ -218,28 +218,25 @@ class TestBranchAndBound:
         assert res.stop_reason == ("lower-bound" if bound == optimum else "exhausted")
 
     @settings(max_examples=150, deadline=None)
-    @given(small_instances(), st.sampled_from(["tiny", "small", "default"]))
-    def test_first_incumbent_matches_broadcast_reference(self, inst, chunk):
+    @given(small_instances())
+    def test_first_incumbent_matches_broadcast_reference(self, inst):
         # A lower bound of n stops the search before its first node, so the
-        # result is the first incumbent: the first input string with the
-        # smallest largest distance. The chunk sizes force one row per
-        # comparison block, a few rows, and all rows at once.
-        cells = {"tiny": 1, "small": 3 * inst.n, "default": exact._CHUNK_CELLS}[chunk]
+        # result is the first incumbent: the search's first leaf, each
+        # column's most frequent symbol with ties in alphabet order.
         codes = inst.codes
-        reference = (codes[:, None, :] != codes[None, :, :]).sum(axis=2).max(axis=1)
-        with mock.patch.object(exact, "_CHUNK_CELLS", cells):
-            res = branch_and_bound(inst, lower_bound=inst.n)
+        counts = (codes[:, :, None] == np.arange(len(inst.alphabet))).sum(axis=0)
+        reference = counts.argmax(axis=1)
+        res = branch_and_bound(inst, lower_bound=inst.n)
         assert res.nodes_explored == 0
-        assert res.center.chars == inst.strings[int(np.argmin(reference))]
-        assert res.optimum == reference.min()
+        assert res.center.chars == inst.alphabet.decode(reference[None])[0]
+        assert res.optimum == (codes != reference).sum(axis=1).max()
 
     def test_returns_first_optimum_in_child_order(self):
         # Children run from a column's most frequent symbol to its least
-        # (ties in alphabet order), and only a strictly better center
-        # replaces the incumbent; weights cut only subtrees with nothing
-        # better. So the answer is the first optimum of that order, unless
-        # the first incumbent (the first input string with the smallest
-        # largest distance) is already optimal.
+        # (ties in alphabet order), the first incumbent is the first leaf,
+        # and only a strictly better center replaces it; weights cut only
+        # subtrees with nothing better. So the answer is the first optimum
+        # of that order.
         rng = np.random.default_rng(1600)
         for chars in ("01", "ACGT"):
             for _ in range(200):
@@ -254,11 +251,7 @@ class TestBranchAndBound:
                 ]
                 grid = inst.alphabet.encode(["".join(t) for t in itertools.product(*ranked)])
                 grid_objs = (grid[:, None, :] != codes[None]).sum(axis=2).max(axis=1)
-                input_objs = (codes[:, None, :] != codes[None]).sum(axis=2).max(axis=1)
-                if input_objs.min() == grid_objs.min():
-                    expected = inst.strings[int(np.argmin(input_objs))]
-                else:
-                    expected = inst.alphabet.decode(grid[int(np.argmin(grid_objs))])[0]
+                expected = inst.alphabet.decode(grid[int(np.argmin(grid_objs))])[0]
                 for weights in (None, solve_lp(build_csp_lp(inst)).weights):
                     res = branch_and_bound(inst, time_limit=math.inf, weights=weights)
                     assert res.center.chars == expected
@@ -375,8 +368,8 @@ class TestBranchAndBound:
     def test_worse_incumbent_is_ignored(self):
         inst = _seeded(4, 10, "01", 99)
         plain = branch_and_bound(inst)
-        # The complement of string 0 is at distance n from it, which no
-        # input string exceeds.
+        # The complement of string 0 is at distance n from it, the most any
+        # center can be, so it never beats the first leaf.
         worst = objective(inst.strings[0].translate(str.maketrans("01", "10")), inst)
         assert worst.objective == inst.n
         assert min(objective(s, inst).objective for s in inst.strings) < inst.n

@@ -87,16 +87,18 @@ class TestParse:
             parse_instance("alphabet: 01\nalphabet: 01\n00\n")
 
     def test_reserved_symbols_rejected_with_line(self):
-        for text, line in (
-            ("alphabet: #A\nAA\n", 1),
-            ("alphabet: A B\nAB\n", 1),
-            ("AB\nA#\n", 2),
-            ("AB\nA:\n", 2),
-            ("ABC\nA C\n", 2),
+        # Bad alphabet headers report their line the same way.
+        for text, line, reason in (
+            ("alphabet: #A\nAA\n", 1, "reserved symbol"),
+            ("alphabet: A B\nAB\n", 1, "reserved symbol"),
+            ("AB\nA#\n", 2, "reserved symbol"),
+            ("AB\nA:\n", 2, "reserved symbol"),
+            ("ABC\nA C\n", 2, "reserved symbol"),
+            ("alphabet:\nAB\n", 1, "empty alphabet header"),
+            ("# c\nalphabet: AA\nA\n", 2, "alphabet has duplicate symbols"),
         ):
-            with pytest.raises(FormatError) as err:
+            with pytest.raises(FormatError, match=f"^line {line}: {reason}"):
                 parse_instance(text)
-            assert f"line {line}" in str(err.value)
 
     def test_accepts_bytes(self):
         assert parse_instance(b"AC\nAG\n").m == 2
