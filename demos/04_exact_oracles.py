@@ -9,7 +9,7 @@ positions depth first, cutting a subtree as soon as some string's
 partial mismatch count reaches the incumbent, or, given the LP's dual
 string weights, as soon as the weighted mismatches rule out beating it.
 Each result says why the search stopped: it exhausted the tree, hit its
-time limit, or reached the lower bound it was given.
+time limit, or reached the lower bound its string weights give.
 """
 
 from closest_string import (
@@ -53,15 +53,16 @@ try:
 except CapacityError as exc:
     print("\ncapacity guard:", exc)
 
-# Branch and bound accepts a wall-clock budget, a lower bound and string
-# weights. Given the LP ceiling, it stops once the incumbent matches it;
-# given the LP's dual weights, it also cuts every subtree whose weighted
-# mismatches show it holds nothing better. dual_bound rechecks the ceiling
-# from those weights in integer arithmetic, with no LP solver.
+# Branch and bound accepts a wall-clock budget and string weights. Given
+# the LP's dual weights, it cuts every subtree whose weighted mismatches
+# show it holds nothing better, and it stops once the incumbent meets the
+# bound those weights give: dual_bound, the LP ceiling recomputed from the
+# weights in integer arithmetic, with no LP solver. Any non-negative
+# weights give a valid bound, so that stop is a proof of optimality.
 root = solve_lp(build_csp_lp(wide))
 ceiling = lp_lower_bound(root)
 print(f"\nLP ceiling {ceiling}; dual bound from its weights {dual_bound(wide, root.weights)}")
-fast = branch_and_bound(wide, time_limit=2.0, lower_bound=ceiling, weights=root.weights)
+fast = branch_and_bound(wide, time_limit=2.0, weights=root.weights)
 print(
     f"bounded search on the wide instance: objective={fast.optimum} "
     f"stop={fast.stop_reason} certified={fast.certified} nodes={fast.nodes_explored}"

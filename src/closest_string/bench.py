@@ -24,9 +24,15 @@ from .instances import GeneratorConfig, generate_uniform
 from .lp import build_csp_lp, solve_lp  # noqa: F401 (traced by perfbench/spans.py)
 from .rounding import RoundingResult, algorithm_a, algorithm_b, algorithm_c
 
-CSV_HEADER = (
-    "m,n,batch,lp_avg,alg_avg,exact_avg,max_dist_error,lp_ms,alg_ms,exact_ms"
+# The CSV columns in order: each names a BenchRow field and gives its
+# format; an empty cell stands for None.
+_CSV_COLUMNS = (
+    ("m", "d"), ("n", "d"), ("batch", "d"),
+    ("lp_avg", ".2f"), ("alg_avg", ".2f"), ("exact_avg", ".2f"),
+    ("max_dist_error", ".2f"),
+    ("lp_ms", ".1f"), ("alg_ms", ".1f"), ("exact_ms", ".1f"),
 )
+CSV_HEADER = ",".join(name for name, _ in _CSV_COLUMNS)
 
 HEURISTICS = ("a", "b", "c")
 EXACT_SOLVERS = ("brute", "bnb")
@@ -74,14 +80,14 @@ def run_solver(
     retries: int,
     time_limit: float,
     node_limit: int,
-    lower_bound: int = 0,
     incumbent: CenterString | None = None,
     weights: np.ndarray | None = None,
 ) -> RoundingResult | ExactResult:
     """Run the solver called ``name``: a rounding heuristic from HEURISTICS
     or an exact oracle from EXACT_SOLVERS, each given the options it takes.
-    Only bnb takes ``lower_bound``, a starting ``incumbent`` and the string
-    ``weights`` it prunes with; brute stays independent of the LP and the
+    Only bnb takes a starting ``incumbent`` and the string ``weights`` it
+    prunes with and derives its stop bound from (any non-negative weights
+    give a valid one); brute stays independent of the LP and the
     heuristic."""
     if name == "a":
         return algorithm_a(inst)
@@ -93,8 +99,7 @@ def run_solver(
         return brute_force_center(inst, node_limit=node_limit)
     if name == "bnb":
         return branch_and_bound(
-            inst, time_limit=time_limit, lower_bound=lower_bound, incumbent=incumbent,
-            weights=weights,
+            inst, time_limit=time_limit, incumbent=incumbent, weights=weights
         )
     raise ValueError(f"unknown solver {name!r}")
 
@@ -110,9 +115,10 @@ def measure_instance(
     node_limit: int,
 ) -> InstanceRecord:
     """Heuristic run, with its root LP, and optional exact solve for one
-    instance. bnb starts from the heuristic's center, prunes with its root
-    LP's dual weights and stops at its LP ceiling, so a certified heuristic
-    center ends the search at once."""
+    instance. bnb starts from the heuristic's center and is given its root
+    LP's dual weights, which it prunes with and from which it derives the
+    LP ceiling as its stop bound, so a certified heuristic center ends the
+    search at once."""
     if alg not in HEURISTICS or exact not in (*EXACT_SOLVERS, None):
         raise ValueError(f"need a heuristic and an optional exact solver: {alg!r}, {exact!r}")
     t0 = time.perf_counter()
@@ -126,7 +132,7 @@ def measure_instance(
         try:
             er = run_solver(
                 inst, exact, theta, retries, time_limit, node_limit,
-                res.lp_bound, res.center, res.root_lp.weights,
+                incumbent=res.center, weights=res.root_lp.weights,
             )
         except CapacityError:
             er = None
@@ -224,28 +230,10 @@ def run_bench(
     return rows
 
 
-def _fmt(value: float | None, fmt: str) -> str:
-    return "" if value is None else format(value, fmt)
-
-
 def rows_to_csv(rows: list[BenchRow]) -> str:
     """Fixed column order and float formats, so output bytes are stable."""
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(r.m),
-                    str(r.n),
-                    str(r.batch),
-                    format(r.lp_avg, ".2f"),
-                    format(r.alg_avg, ".2f"),
-                    _fmt(r.exact_avg, ".2f"),
-                    format(r.max_dist_error, ".2f"),
-                    format(r.lp_ms, ".1f"),
-                    format(r.alg_ms, ".1f"),
-                    _fmt(r.exact_ms, ".1f"),
-                ]
-            )
-        )
+        values = [(getattr(r, name), fmt) for name, fmt in _CSV_COLUMNS]
+        lines.append(",".join("" if v is None else format(v, fmt) for v, fmt in values))
     return "\n".join(lines) + "\n"

@@ -106,18 +106,25 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = parse_instance(Path(args.infile).read_bytes())
     t0 = time.perf_counter()
-    # A heuristic's result carries its root LP; for an exact solver the root
-    # is solved here, and bnb takes its ceiling as a lower bound and its
-    # dual string weights to prune with.
-    root = None if args.alg in HEURISTICS else solve_lp(build_csp_lp(inst))
-    lp_bound = 0 if root is None else lp_lower_bound(root)
+    # A heuristic's result carries its root LP. For an exact solver the root
+    # is solved here for the report's lp_bound and for the dual string
+    # weights bnb prunes with and derives its stop bound from. Neither exact
+    # solver needs the LP: over its size limit, lp_bound is None and bnb
+    # runs without weights.
+    root = None
+    if args.alg in EXACT_SOLVERS:
+        try:
+            root = solve_lp(build_csp_lp(inst))
+        except CapacityError:
+            pass
     res = run_solver(
         inst, args.alg, args.theta, args.retries, args.time_limit, args.node_limit,
-        lp_bound, weights=None if root is None else root.weights,
+        weights=None if root is None else root.weights,
     )
-    if root is None:
+    if args.alg in HEURISTICS:
         lp_bound, certified = res.lp_bound, res.exact_certified
     else:
+        lp_bound = None if root is None else lp_lower_bound(root)
         certified = res.certified
     millis = round((time.perf_counter() - t0) * 1000.0, 3)
 
@@ -133,7 +140,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     else:
         print(f"center {report['center']}")
         print(f"objective {report['objective']}")
-        print(f"lp_bound {report['lp_bound']}")
+        print(f"lp_bound {'none' if lp_bound is None else lp_bound}")
         print(f"certified {'true' if report['certified'] else 'false'}")
         print(f"millis {report['millis']}")
     return EXIT_OK

@@ -133,11 +133,10 @@ class CenterString:
 
     chars: str
     distances: tuple[int, ...]
-    objective: int
 
-    def __post_init__(self) -> None:
-        if self.objective != max(self.distances):
-            raise ValueError("objective must equal the maximum distance")
+    @property
+    def objective(self) -> int:
+        return max(self.distances)
 
 
 def hamming_distance(s: Sequence[str] | str, t: Sequence[str] | str) -> int:
@@ -152,11 +151,7 @@ def objective(t: str, inst: Instance) -> CenterString:
     if len(t) != inst.n:
         raise ValueError(f"center has length {len(t)}, expected {inst.n}")
     dists = (inst.codes != inst.alphabet.encode([t])).sum(axis=1)
-    return CenterString(
-        chars=str(t),
-        distances=tuple(int(d) for d in dists),
-        objective=int(dists.max()),
-    )
+    return CenterString(chars=str(t), distances=tuple(int(d) for d in dists))
 
 
 def validate_instance(

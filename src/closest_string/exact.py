@@ -1,5 +1,6 @@
 """Exact solvers: exhaustive enumeration and a depth-first branch and bound,
-plus the weighted-consensus lower bound that branch and bound prunes with.
+plus the weighted-consensus lower bound that branch and bound prunes with
+and stops at.
 
 Both solvers restrict center characters at position j to the characters
 appearing in column j, which is lossless: swapping an out-of-column
@@ -29,7 +30,7 @@ from .errors import CapacityError
 from .lp import build_csp_lp, solve_lp  # noqa: F401 (traced by perfbench/spans.py)
 
 # Why a search stopped: it tried every candidate, ran out of time, or its
-# incumbent reached the lower bound it was given.
+# incumbent reached the lower bound its string weights give (dual_bound).
 STOP_EXHAUSTED = "exhausted"
 STOP_TIMEOUT = "timeout"
 STOP_LOWER_BOUND = "lower-bound"
@@ -56,15 +57,16 @@ class ExactResult:
     """
 
     center: CenterString
-    optimum: int
     nodes_explored: int
     stop_reason: str
 
     def __post_init__(self) -> None:
-        if self.optimum != self.center.objective:
-            raise ValueError("optimum must equal the center's objective")
         if self.stop_reason not in STOP_REASONS:
             raise ValueError(f"unknown stop reason {self.stop_reason!r}")
+
+    @property
+    def optimum(self) -> int:
+        return self.center.objective
 
     @property
     def certified(self) -> bool:
@@ -81,9 +83,7 @@ def _column_symbols(codes: np.ndarray) -> list[np.ndarray]:
 
 def _result(inst: Instance, best_codes: np.ndarray, nodes: int, stop: str) -> ExactResult:
     center = objective(inst.alphabet.decode(best_codes)[0], inst)
-    return ExactResult(
-        center=center, optimum=center.objective, nodes_explored=nodes, stop_reason=stop
-    )
+    return ExactResult(center=center, nodes_explored=nodes, stop_reason=stop)
 
 
 def brute_force_center(
@@ -184,6 +184,12 @@ def _children(codes: np.ndarray, w: np.ndarray) -> tuple[list, list, list]:
     return symbols, misses, child_w
 
 
+def _ceil_bound(floors: int, total: int) -> int:
+    """⌈L(w)⌉ from the sum of the column floors and the total weight W of
+    the integer weights; 0 when W = 0."""
+    return -(-floors // total) if total else 0
+
+
 def dual_bound(inst: Instance, weights: np.ndarray) -> int:
     """Lower bound on the optimum from non-negative string weights: the
     ceiling of the weighted-consensus bound L(w) for ``weights`` rounded to
@@ -194,16 +200,12 @@ def dual_bound(inst: Instance, weights: np.ndarray) -> int:
     so it rechecks that bound without an LP solver.
     """
     w = _integer_weights(inst, weights)
-    total = int(w.sum())
-    if total == 0:
-        return 0
-    return -(-sum(map(min, _children(inst.codes, w)[2])) // total)
+    return _ceil_bound(sum(map(min, _children(inst.codes, w)[2])), int(w.sum()))
 
 
 def branch_and_bound(
     inst: Instance,
     time_limit: float = 60.0,
-    lower_bound: int = 0,
     incumbent: CenterString | None = None,
     weights: np.ndarray | None = None,
 ) -> ExactResult:
@@ -222,13 +224,14 @@ def branch_and_bound(
     ``incumbent`` (such as a rounding heuristic's center) when it is
     strictly better; only a strictly better leaf replaces it, so with no
     ``incumbent`` the result is the first optimum in child order. The
-    search stops as soon as the incumbent reaches ``lower_bound``, which
-    must be a valid lower bound on the optimum (such as the LP ceiling,
-    ``lp_lower_bound``). On timeout the incumbent comes back with
-    ``certified=False`` rather than an error; ``time_limit`` may be
-    ``inf`` but not NaN or negative (ValueError). The search keeps its path
-    on an explicit stack, so its depth is not limited by Python's
-    recursion limit.
+    search stops as soon as the incumbent reaches the lower bound its
+    weights give, ``dual_bound(inst, weights)`` (0 without weights). Any
+    non-negative weights give a valid bound, so that stop certifies the
+    optimum; with the root LP's duals the bound is the LP ceiling. On
+    timeout the incumbent comes back with ``certified=False`` rather than
+    an error; ``time_limit`` may be ``inf`` but not NaN or negative
+    (ValueError). The search keeps its path on an explicit stack, so its
+    depth is not limited by Python's recursion limit.
     """
     if math.isnan(time_limit) or time_limit < 0:
         raise ValueError(
@@ -247,10 +250,12 @@ def branch_and_bound(
     # its path and itself mismatch, plus rest[j + 1] (the least any
     # completion adds), exceeds (best - 1) * W; then every center below it
     # has a weighted mean distance, and so a largest distance, of at least
-    # best. At depth 0 this is the dual_bound test. With W = 0, such as
-    # with no weights, it never fires.
+    # best. At depth 0 this is the dual_bound test, and the search stops
+    # once the incumbent reaches that bound. With W = 0, such as with no
+    # weights, the cut never fires and the bound is 0.
     total_w = int(w.sum())
     rest = [*itertools.accumulate(map(min, reversed(child_w)), initial=0)][::-1]
+    lower = _ceil_bound(rest[0], total_w)
 
     # The first incumbent is the search's own first leaf: each column's
     # first child, its most frequent symbol (ties in alphabet order).
@@ -274,7 +279,7 @@ def branch_and_bound(
     nodes = 0
     work_left = _CLOCK_WORK
     j = 0
-    stop = STOP_LOWER_BOUND if best <= lower_bound else None
+    stop = STOP_LOWER_BOUND if best <= lower else None
     while stop is None:
         c = tried[j]
         if c == width[j]:
@@ -308,7 +313,7 @@ def branch_and_bound(
             best = new_max
             best_codes = np.array(partial, dtype=codes.dtype)
             limit = (best - 1) * total_w
-            if best <= lower_bound:
+            if best <= lower:
                 stop = STOP_LOWER_BOUND
             continue
         for i in child_misses:

@@ -192,6 +192,28 @@ class TestSolve:
         assert main(["solve", "--alg", "c", "--in", str(f)]) == 3
         assert capsys.readouterr().err.startswith("error: LP tableau needs ")
 
+    def test_exact_solvers_run_when_the_lp_is_over_capacity(self, tmp_path, capsys):
+        # Two strings of length 5000 that differ in 10 columns: the root LP
+        # needs 1.0e8 tableau cells, above MAX_TABLEAU_CELLS, which no exact
+        # solver needs. brute and bnb still prove the optimum 5 and report
+        # no LP bound; a heuristic, which needs the LP, exits 3.
+        s = "ACGT" * 1250
+        t = "".join("CGTA"["ACGT".index(ch)] if j % 500 == 0 else ch for j, ch in enumerate(s))
+        f = tmp_path / "long.csp"
+        f.write_text(f"{s}\n{t}\n")
+        reports = []
+        for alg in ("brute", "bnb"):
+            assert main(["solve", "--alg", alg, "--in", str(f), "--format", "json"]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        for report in reports:
+            assert report["objective"] == 5 and report["certified"] is True
+            assert report["lp_bound"] is None
+        assert reports[0]["center"] == reports[1]["center"]
+        assert main(["solve", "--alg", "brute", "--in", str(f)]) == 0
+        assert "lp_bound none\n" in capsys.readouterr().out
+        assert main(["solve", "--alg", "c", "--in", str(f)]) == 3
+        assert capsys.readouterr().err.startswith("error: LP tableau needs ")
+
     def test_unexpected_error_exits_1(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("boom")

@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 
 from closest_string import (
     Alphabet,
-    CenterString,
     FormatError,
     Instance,
     hamming_distance,
@@ -75,11 +74,6 @@ def test_objective_rejects_foreign_symbol():
     inst = validate_instance(["00", "11"])
     with pytest.raises(ValueError):
         objective("0X", inst)
-
-
-def test_center_rejects_objective_other_than_largest_distance():
-    with pytest.raises(ValueError, match="maximum distance"):
-        CenterString("01", (1, 2), 1)
 
 
 def test_objective_matches_independent_recount():

@@ -71,25 +71,21 @@ def _reference_center(inst):
 
 def test_result_rejects_inconsistent_fields():
     center = objective("01", validate_instance(["00", "11"]))
-    with pytest.raises(ValueError, match="optimum"):
-        ExactResult(center, center.objective + 1, 0, "exhausted")
     with pytest.raises(ValueError, match="unknown stop reason"):
-        ExactResult(center, center.objective, 0, "done")
+        ExactResult(center, 0, "done")
 
 
 def test_exact_cli_node_counts():
     # The exact counts of the benchmark's exact-cli workload, recomputed as
     # its ``solve --alg brute`` and ``--alg bnb`` calls make them: 10x9 ACGT
-    # seeds 0-59, bnb given the root LP's ceiling and weights. A change in
-    # either search's order or pruning shows here.
+    # seeds 0-59, bnb given the root LP's weights. A change in either
+    # search's order, pruning or stop bound shows here.
     brute = bnb = 0
     for seed in range(60):
         inst = _seeded(10, 9, "ACGT", seed)
         root = solve_lp(build_csp_lp(inst))
         brute += brute_force_center(inst).nodes_explored
-        bnb += branch_and_bound(
-            inst, lower_bound=lp_lower_bound(root), weights=root.weights
-        ).nodes_explored
+        bnb += branch_and_bound(inst, weights=root.weights).nodes_explored
     assert (brute, bnb) == (8_558_848, 23_820)
 
 
@@ -205,31 +201,38 @@ class TestBranchAndBound:
     @settings(max_examples=150, deadline=None)
     @given(small_instances(), st.data())
     def test_certified_optimum_for_any_valid_bound(self, inst, data):
+        # Any non-negative weights give a valid bound, which the search
+        # stops at exactly when it equals the optimum.
         _, optimum, _ = _reference_center(inst)
-        bound = data.draw(st.integers(0, optimum))
+        weights = _weights_for(inst, data)
         incumbent = data.draw(st.one_of(
             st.none(),
             st.text(alphabet="".join(inst.alphabet.symbols), min_size=inst.n, max_size=inst.n)
             .map(lambda chars: objective(chars, inst)),
         ))
-        res = branch_and_bound(inst, lower_bound=bound, incumbent=incumbent)
+        res = branch_and_bound(inst, incumbent=incumbent, weights=weights)
         assert res.certified
         assert res.optimum == optimum
+        bound = dual_bound(inst, weights)
         assert res.stop_reason == ("lower-bound" if bound == optimum else "exhausted")
 
     @settings(max_examples=150, deadline=None)
-    @given(small_instances())
-    def test_first_incumbent_matches_broadcast_reference(self, inst):
-        # A lower bound of n stops the search before its first node, so the
-        # result is the first incumbent: the search's first leaf, each
-        # column's most frequent symbol with ties in alphabet order.
+    @given(small_instances(), st.data())
+    def test_first_incumbent_matches_broadcast_reference(self, inst, data):
+        # The first incumbent is the search's first leaf, each column's most
+        # frequent symbol with ties in alphabet order. The search stops
+        # before its first node exactly when that leaf meets the weights'
+        # bound, and then returns it.
         codes = inst.codes
         counts = (codes[:, :, None] == np.arange(len(inst.alphabet))).sum(axis=0)
         reference = counts.argmax(axis=1)
-        res = branch_and_bound(inst, lower_bound=inst.n)
-        assert res.nodes_explored == 0
-        assert res.center.chars == inst.alphabet.decode(reference[None])[0]
-        assert res.optimum == (codes != reference).sum(axis=1).max()
+        consensus = (codes != reference).sum(axis=1).max()
+        weights = _weights_for(inst, data)
+        res = branch_and_bound(inst, weights=weights)
+        assert (res.nodes_explored == 0) == (consensus <= dual_bound(inst, weights))
+        if res.nodes_explored == 0:
+            assert res.center.chars == inst.alphabet.decode(reference[None])[0]
+            assert res.optimum == consensus
 
     def test_returns_first_optimum_in_child_order(self):
         # Children run from a column's most frequent symbol to its least
@@ -288,8 +291,9 @@ class TestBranchAndBound:
         assert res.certified
 
     def test_stop_reason_lower_bound(self):
+        # Equal weights bound the optimum below by n / 2 = 1.
         inst = validate_instance(["00", "11"])
-        res = branch_and_bound(inst, lower_bound=1)
+        res = branch_and_bound(inst, weights=[1, 1])
         assert res.stop_reason == "lower-bound"
         assert res.certified and res.optimum == 1
         assert res.nodes_explored < branch_and_bound(inst).nodes_explored
@@ -336,8 +340,8 @@ class TestBranchAndBound:
         for _ in range(10):
             inst = _seeded(3, 8, "ACGT", int(rng.integers(0, 2**32)))
             plain = branch_and_bound(inst)
-            bound = lp_lower_bound(solve_lp(build_csp_lp(inst)))
-            bounded = branch_and_bound(inst, lower_bound=bound)
+            weights = solve_lp(build_csp_lp(inst)).weights
+            bounded = branch_and_bound(inst, weights=weights)
             assert plain.optimum == bounded.optimum
             assert plain.center == bounded.center
             assert bounded.certified
@@ -351,7 +355,7 @@ class TestBranchAndBound:
                 str(rng.choice(["01", "ACGT"])), int(rng.integers(0, 2**32)),
             )
             res = algorithm_c(inst)
-            bb = branch_and_bound(inst, lower_bound=res.lp_bound, incumbent=res.center)
+            bb = branch_and_bound(inst, incumbent=res.center, weights=res.root_lp.weights)
             assert bb.certified
             assert bb.optimum == brute_force_center(inst).optimum
             assert bb.optimum <= res.center.objective
@@ -360,7 +364,7 @@ class TestBranchAndBound:
         inst = _seeded(5, 30, "ACGT", 2)
         res = algorithm_c(inst)
         assert res.exact_certified
-        bb = branch_and_bound(inst, lower_bound=res.lp_bound, incumbent=res.center)
+        bb = branch_and_bound(inst, incumbent=res.center, weights=res.root_lp.weights)
         assert bb.certified
         assert bb.nodes_explored == 0
         assert bb.center == res.center
@@ -440,33 +444,31 @@ class TestWeightedBranchAndBound:
     @settings(max_examples=150, deadline=None)
     @given(small_instances(), st.data())
     def test_same_result_in_no_more_nodes(self, inst, data):
+        # The weighted search may stop at its bound where the plain one
+        # exhausts the tree, with the same center.
         _, optimum, _ = _reference_center(inst)
-        bound = data.draw(st.integers(0, optimum))
         incumbent = data.draw(st.one_of(
             st.none(),
             st.text(alphabet="".join(inst.alphabet.symbols), min_size=inst.n, max_size=inst.n)
             .map(lambda chars: objective(chars, inst)),
         ))
         weights = _weights_for(inst, data)
-        plain = branch_and_bound(inst, lower_bound=bound, incumbent=incumbent)
-        weighted = branch_and_bound(
-            inst, lower_bound=bound, incumbent=incumbent, weights=weights
-        )
+        plain = branch_and_bound(inst, incumbent=incumbent)
+        weighted = branch_and_bound(inst, incumbent=incumbent, weights=weights)
         assert weighted.center == plain.center
         assert weighted.optimum == plain.optimum == optimum
-        assert weighted.stop_reason == plain.stop_reason
         assert weighted.nodes_explored <= plain.nodes_explored
 
     def test_lp_weights_certify_10x20_in_few_nodes(self):
         # Without weights each of these runs past 30 s; the root LP's duals
-        # certify all five in about 16,400 nodes.
+        # certify all five at their LP ceiling in about 16,100 nodes.
         nodes = 0
         for seed in range(5):
             inst = _seeded(10, 20, "ACGT", seed)
             res = branch_and_bound(
                 inst, time_limit=60, weights=solve_lp(build_csp_lp(inst)).weights
             )
-            assert res.stop_reason == "exhausted"
+            assert res.stop_reason == "lower-bound"
             nodes += res.nodes_explored
         assert nodes < 50_000
 
@@ -477,8 +479,7 @@ class TestWeightedBranchAndBound:
         res = algorithm_c(inst)
         assert (res.lp_bound, res.center.objective) == (46, 47)
         bb = branch_and_bound(
-            inst, time_limit=60, lower_bound=res.lp_bound, incumbent=res.center,
-            weights=res.root_lp.weights,
+            inst, time_limit=60, incumbent=res.center, weights=res.root_lp.weights
         )
         assert bb.stop_reason == "exhausted"
         assert bb.optimum == 47

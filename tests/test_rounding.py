@@ -253,7 +253,7 @@ def test_result_rejects_center_below_lp_ceiling():
     res = algorithm_c(validate_instance(["000", "111"]))
     assert res.lp_bound == 2
     with pytest.raises(ValueError, match="below the LP lower bound"):
-        replace(res, center=CenterString("010", (1, 1), 1))
+        replace(res, center=CenterString("010", (1, 1)))
 
 
 def test_deterministic_traces():
